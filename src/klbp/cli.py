@@ -3,8 +3,9 @@
 Every subcommand loads JSON inputs, runs the matching library operation,
 runs the independent oracle comparison where one exists, and prints a
 deterministic JSON report (floats at 17 significant digits, keys sorted)
-so identical inputs always produce identical bytes.  Wall time goes to
-stderr, keeping the report byte-stable.
+so identical inputs always produce identical bytes.  Non-finite floats are
+written as the strings "inf", "-inf" and "nan", so every report is strict
+JSON.  Wall time goes to stderr, keeping the report byte-stable.
 
 Exit codes: 0 all checks pass; 1 missing file; 2 malformed input (schema);
 3 structural validation failure or failed check.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -35,7 +37,8 @@ EXIT_INVALID = 3
 
 
 def stable_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits,
+    non-finite floats as the strings "inf", "-inf" and "nan"."""
     parts: list[str] = []
     _emit(obj, parts)
     return "".join(parts)
@@ -49,7 +52,8 @@ def _emit(obj, parts: list) -> None:
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(format(float(obj), ".17g"))
+        x = float(obj)
+        parts.append(format(x, ".17g") if math.isfinite(x) else f'"{x}"')
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):

@@ -9,37 +9,23 @@ The API exposes both readings: ``backward_adjoints`` is the reverse sweep,
 (and its invariance to per-edge message rescaling) can be checked
 numerically.
 
-Primitives are fixed to a C1 list; relu/abs are rejected on purpose --
-approximate with softplus.
+Every primitive is one entry of the ``PRIMITIVES`` table: its arity, whether
+it carries a constant, whether its domain has a hazard, its forward map and
+its partials.  Validation, forward evaluation, the reverse sweep and the
+random-DAG generator all read that table.  The set is fixed to C1 ops;
+relu/abs are rejected on purpose -- approximate with softplus.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-
-# op name -> arity; "constant" carries its value, "pow" a constant exponent
-OP_ARITY = {
-    "input": 0,
-    "constant": 0,
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "div": 2,
-    "exp": 1,
-    "log": 1,
-    "sigmoid": 1,
-    "tanh": 1,
-    "softplus": 1,
-    "pow": 1,
-}
-
-_NEEDS_VALUE = {"constant", "pow"}
-
+from .toposort import topo_sort
 
 def _sigmoid(x: float) -> float:
     if x >= 0.0:
@@ -52,6 +38,71 @@ def _softplus(x: float) -> float:
     if x > 30.0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
+
+
+def _div(v, c):
+    if v[1] == 0.0:
+        raise ValueError("division by zero")
+    return v[0] / v[1]
+
+
+def _log(v, c):
+    if v[0] <= 0.0:
+        raise ValueError(f"log of nonpositive value {v[0]!r}")
+    return math.log(v[0])
+
+
+def _pow(v, c):
+    base = v[0]
+    if c != int(c) and base <= 0.0:
+        raise ValueError(f"non-integer power of nonpositive base {base!r}")
+    if c < 0.0 and base == 0.0:
+        raise ValueError("negative power of zero")
+    return base**c
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """One C1 operation: ``f(vals, c)`` and its partials ``d(vals, out, c)``.
+
+    ``vals`` are the input values, ``out`` the forward value and ``c`` the
+    node's constant (the value of "constant", the exponent of "pow"); ``d``
+    returns one partial per input.  ``hazard`` marks ops whose domain is not
+    the whole real line.
+    """
+
+    arity: int
+    f: Callable | None = None
+    d: Callable | None = None
+    needs_value: bool = False
+    hazard: bool = False
+
+
+PRIMITIVES = {
+    "input": Primitive(0),
+    "constant": Primitive(0, lambda v, c: c, needs_value=True),
+    "add": Primitive(2, lambda v, c: v[0] + v[1], lambda v, out, c: (1.0, 1.0)),
+    "sub": Primitive(2, lambda v, c: v[0] - v[1], lambda v, out, c: (1.0, -1.0)),
+    "mul": Primitive(2, lambda v, c: v[0] * v[1], lambda v, out, c: (v[1], v[0])),
+    "div": Primitive(
+        2, _div, lambda v, out, c: (1.0 / v[1], -v[0] / (v[1] * v[1])), hazard=True
+    ),
+    "exp": Primitive(1, lambda v, c: math.exp(v[0]), lambda v, out, c: (out,)),
+    "log": Primitive(1, _log, lambda v, out, c: (1.0 / v[0],), hazard=True),
+    "sigmoid": Primitive(
+        1, lambda v, c: _sigmoid(v[0]), lambda v, out, c: (out * (1.0 - out),)
+    ),
+    "tanh": Primitive(
+        1, lambda v, c: math.tanh(v[0]), lambda v, out, c: (1.0 - out * out,)
+    ),
+    "softplus": Primitive(
+        1, lambda v, c: _softplus(v[0]), lambda v, out, c: (_sigmoid(v[0]),)
+    ),
+    "pow": Primitive(
+        1, _pow, lambda v, out, c: (c * v[0] ** (c - 1.0),),
+        needs_value=True, hazard=True,
+    ),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +124,7 @@ class CompGraph:
     """Nodes plus one output id.  Deep validation is report-style
     (``validate_dag``); construction only rejects graphs that cannot be
     inspected at all (duplicate ids, dangling references, missing output).
+    The topological order is fixed at construction; a cycle leaves it unset.
     """
 
     def __init__(self, nodes, output: str):
@@ -91,6 +143,7 @@ class CompGraph:
                     )
         if output not in self._by_id:
             raise ValidationError(f"output node {output!r} does not exist")
+        self._topo = topo_sort({n.id: n.inputs for n in self.nodes})
 
     def node(self, node_id: str) -> CompNode:
         return self._by_id[node_id]
@@ -99,58 +152,31 @@ class CompGraph:
         return tuple(n.id for n in self.nodes if n.op == "input")
 
     def topo_order(self) -> list[str]:
-        indeg = {n.id: len(n.inputs) for n in self.nodes}
-        consumers: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for ref in n.inputs:
-                consumers[ref].append(n.id)
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            changed = False
-            for c in consumers[nid]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(order) != len(self.nodes):
+        if self._topo is None:
             raise ValidationError("computation graph contains a cycle")
-        return order
-
-    def ancestors_of_output(self) -> set[str]:
-        anc = {self.output}
-        for nid in reversed(self.topo_order()):
-            if nid in anc:
-                anc.update(self.node(nid).inputs)
-        return anc
+        return list(self._topo)
 
 
 def validate_dag(graph: CompGraph) -> dict:
     """Report acyclicity, op-set membership, arity, and domain hazards."""
     issues: list[str] = []
-    acyclic = True
-    try:
-        graph.topo_order()
-    except ValidationError:
-        acyclic = False
+    acyclic = graph._topo is not None
+    if not acyclic:
         issues.append("graph contains a cycle")
     hazards = []
     for n in graph.nodes:
-        if n.op not in OP_ARITY:
+        prim = PRIMITIVES.get(n.op)
+        if prim is None:
             issues.append(f"node {n.id!r}: op {n.op!r} is not in the C1 primitive set")
             continue
-        if len(n.inputs) != OP_ARITY[n.op]:
+        if len(n.inputs) != prim.arity:
             issues.append(
-                f"node {n.id!r}: op {n.op!r} takes {OP_ARITY[n.op]} inputs, "
+                f"node {n.id!r}: op {n.op!r} takes {prim.arity} inputs, "
                 f"got {len(n.inputs)}"
             )
-        if n.op in _NEEDS_VALUE and n.value is None:
+        if prim.needs_value and n.value is None:
             issues.append(f"node {n.id!r}: op {n.op!r} needs a value")
-        if n.op in ("div", "log", "pow"):
+        if prim.hazard:
             hazards.append(n.id)
     return {
         "valid": acyclic and not issues,
@@ -167,45 +193,6 @@ def validate_dag(graph: CompGraph) -> dict:
 class ForwardTrace:
     values: dict
     inputs: dict
-
-
-def _apply_op(node: CompNode, vals: list[float]) -> float:
-    op = node.op
-    if op == "add":
-        return vals[0] + vals[1]
-    if op == "sub":
-        return vals[0] - vals[1]
-    if op == "mul":
-        return vals[0] * vals[1]
-    if op == "div":
-        if vals[1] == 0.0:
-            raise ValidationError(f"node {node.id!r}: division by zero")
-        return vals[0] / vals[1]
-    if op == "exp":
-        return math.exp(vals[0])
-    if op == "log":
-        if vals[0] <= 0.0:
-            raise ValidationError(
-                f"node {node.id!r}: log of nonpositive value {vals[0]!r}"
-            )
-        return math.log(vals[0])
-    if op == "sigmoid":
-        return _sigmoid(vals[0])
-    if op == "tanh":
-        return math.tanh(vals[0])
-    if op == "softplus":
-        return _softplus(vals[0])
-    if op == "pow":
-        c = node.value
-        base = vals[0]
-        if c != int(c) and base <= 0.0:
-            raise ValidationError(
-                f"node {node.id!r}: non-integer power of nonpositive base {base!r}"
-            )
-        if c < 0.0 and base == 0.0:
-            raise ValidationError(f"node {node.id!r}: negative power of zero")
-        return base**c
-    raise ValidationError(f"node {node.id!r}: unsupported op {op!r}")
 
 
 def forward_eval(
@@ -230,11 +217,14 @@ def forward_eval(
             if nid not in inputs:
                 raise ValidationError(f"no value supplied for input {nid!r}")
             values[nid] = float(inputs[nid])
-        elif node.op == "constant":
-            values[nid] = float(node.value)
         else:
             vals = [values[ref] for ref in node.inputs]
-            values[nid] = _apply_op(node, vals)
+            try:
+                values[nid] = PRIMITIVES[node.op].f(vals, node.value)
+            except ValueError as exc:
+                raise ValidationError(f"node {nid!r}: {exc}") from None
+            except OverflowError:
+                raise ValidationError(f"node {nid!r}: {node.op} overflowed") from None
         if not math.isfinite(values[nid]):
             raise ValidationError(f"node {nid!r} evaluated to {values[nid]!r}")
     return ForwardTrace(values, dict(inputs))
@@ -314,33 +304,6 @@ def phi_log(factor: OutputFactor, z: float) -> float:
 # -------------------------------------------------------------- backward
 
 
-def _partial(node: CompNode, vals: list[float], out: float, which: int) -> float:
-    op = node.op
-    if op == "add":
-        return 1.0
-    if op == "sub":
-        return 1.0 if which == 0 else -1.0
-    if op == "mul":
-        return vals[1 - which]
-    if op == "div":
-        if which == 0:
-            return 1.0 / vals[1]
-        return -vals[0] / (vals[1] * vals[1])
-    if op == "exp":
-        return out
-    if op == "log":
-        return 1.0 / vals[0]
-    if op == "sigmoid":
-        return out * (1.0 - out)
-    if op == "tanh":
-        return 1.0 - out * out
-    if op == "softplus":
-        return _sigmoid(vals[0])
-    if op == "pow":
-        return node.value * vals[0] ** (node.value - 1.0)
-    raise ValidationError(f"no derivative rule for op {op!r}")
-
-
 def backward_adjoints(
     graph: CompGraph, trace: ForwardTrace, factor: OutputFactor
 ) -> dict:
@@ -357,44 +320,16 @@ def backward_adjoints(
     adjoint[graph.output] = seed_score(factor, trace.values[graph.output])
     for nid in reversed(order):
         node = graph.node(nid)
-        if node.op in ("input", "constant"):
+        if not node.inputs:
             continue
         vals = [trace.values[ref] for ref in node.inputs]
-        for which, ref in enumerate(node.inputs):
-            adjoint[ref] += adjoint[nid] * _partial(
-                node, vals, trace.values[nid], which
-            )
+        partials = PRIMITIVES[node.op].d(vals, trace.values[nid], node.value)
+        for ref, partial in zip(node.inputs, partials):
+            adjoint[ref] += adjoint[nid] * partial
     return adjoint
 
 
 # -------------------------------------------- message-level examinations
-
-
-_UNARY_PRIMITIVES = {
-    "identity": (lambda x: x, lambda x: 1.0),
-    "exp": (math.exp, math.exp),
-    "log": (math.log, lambda x: 1.0 / x),
-    "sigmoid": (_sigmoid, lambda x: _sigmoid(x) * (1.0 - _sigmoid(x))),
-    "tanh": (math.tanh, lambda x: 1.0 - math.tanh(x) ** 2),
-    "softplus": (_softplus, _sigmoid),
-}
-
-
-def delta_chain_check(psi: str, s_y: float, x_star: float) -> tuple[float, float]:
-    """Both sides of the point-mass chain rule for one unary primitive.
-
-    The downstream message is represented by the canonical positive witness
-    m(y) = exp(s_y * y), so log m(psi(x)) = s_y * psi(x).  Left side:
-    central finite difference of that composition at x*.  Right side:
-    s_y * psi'(x*).
-    """
-    if psi not in _UNARY_PRIMITIVES:
-        raise ValidationError(f"unknown primitive {psi!r}")
-    fn, deriv = _UNARY_PRIMITIVES[psi]
-    h = 1e-5 * max(1.0, abs(x_star))
-    left = (s_y * fn(x_star + h) - s_y * fn(x_star - h)) / (2.0 * h)
-    right = s_y * deriv(x_star)
-    return left, right
 
 
 def downward_log_belief(

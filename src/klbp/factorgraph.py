@@ -269,22 +269,6 @@ def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
     return out
 
 
-def factor_beliefs(fg: FactorGraph, state: MessageState) -> dict:
-    """Normalized joint beliefs over each factor's own variables."""
-    out = {}
-    for fac in fg.factors:
-        joint = fac.table.copy()
-        for pos, v in enumerate(fac.vars):
-            shape = [1] * len(fac.vars)
-            shape[pos] = fg.cardinality(v)
-            joint = joint * state.to_factor[(fac.id, v)].reshape(shape)
-        total = joint.sum()
-        if total <= 0.0:
-            raise ValidationError(f"factor belief of {fac.id!r} vanished")
-        out[fac.id] = joint / total
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class BPResult:
     state: MessageState

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compgraph import CompGraph, CompNode, forward_eval
+from .compgraph import PRIMITIVES, CompGraph, CompNode, forward_eval
 from .errors import ValidationError
 from .factorgraph import Factor, FactorGraph, Variable
 
@@ -57,8 +57,7 @@ def gen_dag(seed: int, *, max_nodes: int = 30) -> tuple[CompGraph, dict]:
         n_interior = int(rng.integers(3, max(4, max_nodes - len(nodes))))
         for j in range(n_interior):
             op = str(rng.choice(_DAG_OPS, p=_DAG_WEIGHTS))
-            arity = 2 if op in ("add", "sub", "mul", "div") else 1
-            refs = tuple(str(rng.choice(pool)) for _ in range(arity))
+            refs = tuple(str(rng.choice(pool)) for _ in range(PRIMITIVES[op].arity))
             value = None
             if op == "pow":
                 value = float(rng.choice([2.0, 3.0, 0.5]))

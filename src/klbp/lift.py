@@ -201,26 +201,6 @@ def extract_joint(space: ReplicatedSpace, beliefs: dict) -> DistVec:
     return DistVec(full.reshape(-1), outcomes)
 
 
-def log_subspace_distance(space: ReplicatedSpace, zeta: Array | None = None) -> float:
-    """Euclidean distance of log-coordinates to the block-additive subspace.
-
-    The subspace consists of lifted log tables that decompose as a sum of
-    per-factor-block terms; the reference table lies in it by construction,
-    so this is zero for fresh lifts and positive only for perturbed tables.
-    Diagnostic only -- nothing downstream branches on it.
-    """
-    if zeta is None:
-        zeta = np.log(space.q_init.probs)
-    arr = np.asarray(zeta, dtype=float).reshape(space.sizes)
-    m = len(space.factor_blocks)
-    grand = arr.mean()
-    proj = np.full_like(arr, grand * (1.0 - m))
-    for block in space.factor_blocks:
-        other = tuple(a for a in range(len(space.sizes)) if a not in block)
-        proj = proj + arr.mean(axis=other, keepdims=True)
-    return float(np.linalg.norm((arr - proj).reshape(-1)))
-
-
 # -------------------------------------------------------- hybrid scheme
 
 

@@ -20,7 +20,6 @@ from .simplex import (
     DistVec,
     Generator,
     JointShape,
-    Mahalanobis,
     NegativeEntropy,
     softmax,
 )

@@ -11,11 +11,6 @@ generators are supported:
 * a Mahalanobis quadratic  g(p) = 1/2 p^T A p  with A symmetric positive
   definite, whose divergence is 1/2 (r - q)^T A (r - q).
 
-Dual (log) coordinates use the entropy gradient theta_i = 1 + log p_i and are
-inverted by softmax; softmax is shift invariant, so the additive constant in
-the gradient never matters downstream.  For the quadratic generator the dual
-map is theta = A p, inverted by a direct linear solve.
-
 Joint outcome sets are laid out row-major: with axes listed first to last,
 the last axis varies fastest.  ``JointShape`` records the axis sizes together
 with replica groups -- sets of axes that are copies of one underlying
@@ -126,24 +121,6 @@ class DistVec:
         return DistVec(obj["probs"], None if outs is None else tuple(outs))
 
 
-@dataclass(frozen=True, eq=False)
-class LogCoords:
-    """Dual (log) coordinates paired with the outcome labels they index."""
-
-    values: Array
-    outcomes: tuple | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("log-coordinate vector must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("log-coordinate vector has non-finite entries")
-        object.__setattr__(self, "values", _freeze(arr))
-        if self.outcomes is not None:
-            object.__setattr__(self, "outcomes", tuple(self.outcomes))
-
-
 def _check_same_labels(a: DistVec, b: DistVec, *, what: str) -> None:
     if len(a) != len(b):
         raise ValidationError(f"{what}: length mismatch {len(a)} vs {len(b)}")
@@ -200,55 +177,11 @@ def divergence(gen: Generator, r: DistVec, q: DistVec) -> float:
     raise ValidationError(f"unknown generator {gen!r}")
 
 
-def kl_with_support(r_probs: Array, q_probs: Array) -> float:
-    """KL(r || q) with hard zeros in r treated as 0 log 0 = 0.
-
-    Raises if r places mass where q has none; such pairs have infinite
-    divergence and indicate a support mismatch upstream.
-    """
-    r_arr = np.asarray(r_probs, dtype=float)
-    q_arr = np.asarray(q_probs, dtype=float)
-    mask = r_arr > 0.0
-    if np.any(q_arr[mask] <= 0.0):
-        raise ValidationError("KL undefined: r has mass outside the support of q")
-    return float(np.sum(r_arr[mask] * (np.log(r_arr[mask]) - np.log(q_arr[mask]))))
-
-
-def to_dual(p: DistVec) -> LogCoords:
-    """Entropy-gradient coordinates theta_i = 1 + log p_i."""
-    return LogCoords(1.0 + np.log(p.probs), p.outcomes)
-
-
-def from_dual(theta: LogCoords) -> DistVec:
-    """Softmax inverse of ``to_dual``; shift invariant."""
-    return DistVec.from_weights(softmax(theta.values), theta.outcomes)
-
-
 def softmax(values: Array) -> Array:
     v = np.asarray(values, dtype=float)
     shifted = v - v.max()
     e = np.exp(shifted)
     return e / e.sum()
-
-
-def dual_map(gen: Generator, probs: Array) -> Array:
-    """Gradient of the generator at a point (entropy: 1 + log p; quadratic: A p)."""
-    arr = np.asarray(probs, dtype=float)
-    if isinstance(gen, NegativeEntropy):
-        return 1.0 + np.log(arr)
-    if isinstance(gen, Mahalanobis):
-        return gen.matrix @ arr
-    raise ValidationError(f"unknown generator {gen!r}")
-
-
-def dual_inverse(gen: Generator, theta: Array) -> Array:
-    """Inverse gradient map (entropy: softmax; quadratic: linear solve)."""
-    arr = np.asarray(theta, dtype=float)
-    if isinstance(gen, NegativeEntropy):
-        return softmax(arr)
-    if isinstance(gen, Mahalanobis):
-        return np.linalg.solve(gen.matrix, arr)
-    raise ValidationError(f"unknown generator {gen!r}")
 
 
 # ------------------------------------------------------------ joint shapes

@@ -22,6 +22,7 @@ import numpy as np
 
 from .budgets import BudgetError
 from .errors import SchemaError, ValidationError
+from .toposort import topo_sort
 
 Array = np.ndarray
 
@@ -86,7 +87,9 @@ class SpnCircuit:
                     raise ValidationError(f"node {n.id!r} references unknown {c!r}")
         if root not in self._by_id:
             raise ValidationError(f"root {root!r} does not exist")
-        self._topo = self._topo_order()
+        self._topo = topo_sort({n.id: n.children for n in self.nodes})
+        if self._topo is None:
+            raise ValidationError("circuit contains a cycle")
         self._scopes = self._compute_scopes()
         self._leaf_groups: dict[tuple[str, int], list[str]] = {}
         for n in self.nodes:
@@ -97,33 +100,6 @@ class SpnCircuit:
             if n.kind == "leaf":
                 cur = self._cards.get(n.var, 0)
                 self._cards[n.var] = max(cur, n.state + 1)
-
-    def _topo_order(self) -> list[str]:
-        # children before parents, deterministic by id
-        indeg = {n.id: 0 for n in self.nodes}
-        parents: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for c in n.children:
-                indeg[n.id] += 1
-        for n in self.nodes:
-            for c in n.children:
-                parents[c].append(n.id)
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            added = False
-            for p in parents[nid]:
-                indeg[p] -= 1
-                if indeg[p] == 0:
-                    ready.append(p)
-                    added = True
-            if added:
-                ready.sort()
-        if len(order) != len(self.nodes):
-            raise ValidationError("circuit contains a cycle")
-        return order
 
     def _compute_scopes(self) -> dict[str, frozenset]:
         scopes: dict[str, frozenset] = {}
@@ -476,18 +452,6 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
                 )
             mus[(nid, pos)] = direct
     return {"pi": pis, "mu": mus}
-
-
-def batch_marginals(circuit: SpnCircuit, evidences) -> list:
-    """Evaluate many evidence vectors; pure per-item work, order preserved."""
-    require_valid(circuit)
-    out = []
-    for e in evidences:
-        check_evidence(circuit, e)
-        S = upward_pass(circuit, e, check=False)
-        D = downward_pass(circuit, S)
-        out.append(marginal_arrays(circuit, e, S, D))
-    return out
 
 
 # ---------------------------------------------------------------- unroll

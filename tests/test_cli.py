@@ -84,6 +84,17 @@ def files(tmp_path_factory):
             "output": "y",
         },
     )
+    exp = save(
+        "exp.json",
+        {
+            "schema": "v1",
+            "nodes": [
+                {"id": "x", "op": "input", "inputs": []},
+                {"id": "y", "op": "exp", "inputs": ["x"]},
+            ],
+            "output": "y",
+        },
+    )
     joint = save(
         "joint.json",
         {
@@ -126,6 +137,7 @@ def files(tmp_path_factory):
         "lambda": lam,
         "bad": bad,
         "logistic": logistic,
+        "exp": exp,
         "joint": joint,
         "copies": copies,
         "coin": coin,
@@ -140,6 +152,9 @@ class TestStableJson:
     def test_keys_sorted_and_types_normalized(self):
         out = stable_dumps({"b": np.float64(1.5), "a": np.int64(2), "c": [True, None]})
         assert out == '{"a":2,"b":1.5,"c":[true,null]}'
+
+    def test_non_finite_floats_are_strings(self):
+        assert stable_dumps([np.inf, -np.inf, np.nan, 2.5]) == '["inf","-inf","nan",2.5]'
 
     def test_ndarray_becomes_list(self):
         assert stable_dumps(np.array([0.5, 0.25])) == "[0.5,0.25]"
@@ -258,6 +273,21 @@ class TestFgCommands:
         assert rep["outputs"]["schedule"] == "damped-sync"
         assert rep["checks"]["converged"]["pass"]
 
+    def test_bp_without_sweeps_reports_strict_json(self, capsys, files):
+        from klbp import factorgraph, generators
+
+        def reject(name):
+            raise ValueError(f"non-finite constant {name}")
+
+        path = files["root"] / "cycle0.json"
+        path.write_text(
+            json.dumps(factorgraph.fg_to_json(generators.gen_fg(5, kind="cycle")))
+        )
+        assert main(["fg", "bp", "--graph", str(path), "--max-sweeps", "0"]) == 3
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rep["outputs"]["delta"] == "inf"
+        assert rep["checks"]["converged"]["max_abs_error"] == "inf"
+
     def test_wr_tree_matches_oracle(self, capsys, files):
         from klbp import factorgraph, generators
 
@@ -308,6 +338,10 @@ class TestDagCommands:
         )
         assert code == 0
         assert rep["outputs"]["output"] == pytest.approx(0.5)
+        code, rep = run_cli(
+            capsys, "dag", "eval", "--graph", files["exp"], "--at=x=1000"
+        )
+        assert code == 3 and rep is None
 
     def test_gauge_slope_invariant(self, capsys, files):
         code, rep = run_cli(

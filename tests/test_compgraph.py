@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from klbp.compgraph import (
+    PRIMITIVES,
     CompGraph,
     CompNode,
     ExpScale,
     NegLossTemp,
     backward_adjoints,
     centered_grid,
-    delta_chain_check,
     downward_log_belief,
     forward_eval,
     graph_from_json,
@@ -23,6 +23,7 @@ from klbp.compgraph import (
 from klbp.errors import SchemaError, ValidationError
 from klbp.generators import gen_dag
 from klbp.oracle import finite_diff_grad, reference_gradient
+from klbp.toposort import topo_sort
 
 
 def sigmoid_product_graph():
@@ -53,6 +54,10 @@ def test_validate_cycle():
     report = validate_dag(g)
     assert not report["valid"]
     assert not report["acyclic"]
+    with pytest.raises(ValidationError, match="cycle"):
+        g.topo_order()
+    with pytest.raises(ValidationError, match="cycle"):
+        forward_eval(g, {})
 
 
 def test_validate_rejects_non_smooth_op():
@@ -179,7 +184,8 @@ def test_seed_linearity():
 
 
 def test_adjoints_match_independent_accumulator():
-    for seed in range(30):
+    # the extra seeds first draw a graph whose exp or pow overflows
+    for seed in [*range(30), 3514, 8042, 8941, 13149, 15871, 20526, 28159, 28267]:
         graph, inputs = gen_dag(seed)
         trace = forward_eval(graph, inputs)
         alpha = 1.7
@@ -220,34 +226,45 @@ def test_loss_factor_adjoints_scale_the_gradient():
             assert adj[nid] == pytest.approx(s * plain[nid], rel=1e-12, abs=1e-12)
 
 
-# -------------------------------------------------- message-level checks
+# ------------------------------------------------------- primitive table
 
 
-def test_chain_check_identity():
-    left, right = delta_chain_check("identity", 3.0, 0.0)
-    assert left == pytest.approx(3.0, rel=1e-9)
-    assert right == 3.0
-
-
-def test_chain_check_sigmoid_frozen():
-    left, right = delta_chain_check("sigmoid", 1.0, 0.0)
-    assert right == pytest.approx(0.25, abs=1e-15)
-    assert left == pytest.approx(right, abs=1e-6)
-
-
-def test_chain_check_zero_message():
-    left, right = delta_chain_check("tanh", 0.0, 1.3)
-    assert left == 0.0 and right == 0.0
-
-
-def test_chain_check_all_primitives():
+def test_every_primitive_partial_matches_central_difference():
     rng = np.random.default_rng(77)
-    for psi in ("identity", "exp", "log", "sigmoid", "tanh", "softplus"):
+    for op, prim in PRIMITIVES.items():
+        if prim.arity == 0:
+            continue
         for _ in range(20):
-            x = float(rng.uniform(0.2, 2.0))
-            s = float(rng.uniform(-2.0, 2.0))
-            left, right = delta_chain_check(psi, s, x)
-            assert left == pytest.approx(right, rel=1e-6, abs=1e-6)
+            vals = [float(x) for x in rng.uniform(0.2, 2.0, prim.arity)]
+            c = float(rng.choice([2.0, 3.0, 0.5, -1.5])) if prim.needs_value else None
+            partials = prim.d(vals, prim.f(vals, c), c)
+            assert len(partials) == prim.arity, op
+            for i, partial in enumerate(partials):
+                h = 1e-5 * max(1.0, abs(vals[i]))
+                hi, lo = list(vals), list(vals)
+                hi[i] += h
+                lo[i] -= h
+                fd = (prim.f(hi, c) - prim.f(lo, c)) / (2.0 * h)
+                assert partial == pytest.approx(fd, rel=1e-6, abs=1e-6), (op, i)
+
+
+def test_topological_order_takes_smallest_ready_id_first():
+    # FIFO would give x, y, b, c, a; plain id order would start with a
+    g = CompGraph(
+        [
+            CompNode("a", "add", ("b", "c")),
+            CompNode("y", "input"),
+            CompNode("c", "exp", ("y",)),
+            CompNode("b", "exp", ("x",)),
+            CompNode("x", "input"),
+        ],
+        "a",
+    )
+    assert g.topo_order() == ["x", "b", "y", "c", "a"]
+    assert topo_sort({"a": ("b", "c"), "y": (), "c": ("y",), "b": ("x",), "x": ()}) == [
+        "x", "b", "y", "c", "a"
+    ]
+    assert topo_sort({"a": ("b",), "b": ("a",)}) is None
 
 
 def test_downward_slope_equals_adjoint():

@@ -10,7 +10,6 @@ from klbp.factorgraph import (
     bp_run,
     bp_run_tree,
     bp_sweep,
-    factor_beliefs,
     fg_from_json,
     fg_to_json,
     message_delta,
@@ -140,19 +139,6 @@ def test_tree_bp_rejects_cycles():
     fg = cycle_graph(np.random.default_rng(1))
     with pytest.raises(ValidationError):
         bp_run_tree(fg)
-
-
-def test_factor_belief_marginal_consistency():
-    rng = np.random.default_rng(400)
-    fg = chain_graph(rng)
-    state = bp_run_tree(fg)
-    var_b = bp_beliefs(fg, state)
-    for fid, joint in factor_beliefs(fg, state).items():
-        fac = fg.factor(fid)
-        for pos, vid in enumerate(fac.vars):
-            other = tuple(a for a in range(len(fac.vars)) if a != pos)
-            marg = joint.sum(axis=other) if other else joint
-            np.testing.assert_allclose(marg, var_b[vid], atol=1e-12)
 
 
 def test_isolated_variable_is_uniform():

@@ -7,7 +7,6 @@ from klbp.lift import (
     WrState,
     consensus_project,
     extract_joint,
-    log_subspace_distance,
     replicate_lift,
     t_proj,
     wr_beliefs,
@@ -259,20 +258,6 @@ def test_loopy_fixed_point_two_step_residual():
     joint = extract_joint(space, bp_beliefs(fg, result.state))
     residual = float(np.max(np.abs(t_proj(space, joint).probs - joint.probs)))
     assert residual <= 1e-8
-
-
-def test_log_subspace_distance_zero_for_fresh_lift():
-    fg = cycle_graph(np.random.default_rng(71))
-    space = replicate_lift(fg)
-    assert log_subspace_distance(space) <= 1e-10
-
-
-def test_log_subspace_distance_positive_for_perturbation():
-    fg = chain_graph(np.random.default_rng(72))
-    space = replicate_lift(fg)
-    rng = np.random.default_rng(73)
-    zeta = np.log(space.q_init.probs) + rng.standard_normal(len(space.q_init))
-    assert log_subspace_distance(space, zeta) > 1e-3
 
 
 # ------------------------------------------------------ quadratic scheme

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,20 +5,14 @@ from klbp.errors import SchemaError, ValidationError
 from klbp.simplex import (
     DistVec,
     JointShape,
-    LogCoords,
     Mahalanobis,
     NegativeEntropy,
     consensus_geomean,
     divergence,
-    dual_inverse,
-    dual_map,
-    from_dual,
     i_project_diagonal,
     joint_outcomes,
-    kl_with_support,
     m_project_blocks,
     m_project_product,
-    to_dual,
 )
 
 
@@ -72,17 +64,6 @@ def test_json_roundtrip():
 # ------------------------------------------------------------- divergences
 
 
-def test_kl_frozen_value():
-    # deterministic vector against (0.6, 0.4): only the first term survives
-    val = kl_with_support(np.array([1.0, 0.0]), np.array([0.6, 0.4]))
-    assert val == pytest.approx(math.log(5.0 / 3.0), abs=1e-15)
-
-
-def test_kl_support_violation():
-    with pytest.raises(ValidationError):
-        kl_with_support(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-
-
 def test_divergence_entropy_matches_direct_sum():
     rng = np.random.default_rng(7)
     gen = NegativeEntropy()
@@ -107,40 +88,6 @@ def test_mahalanobis_validation():
         Mahalanobis(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         Mahalanobis(np.array([[1.0, 0.0], [0.0, -2.0]]))
-
-
-# --------------------------------------------------------------- dual maps
-
-
-def test_uniform_dual_coordinates():
-    theta = to_dual(DistVec(np.array([0.5, 0.5])))
-    np.testing.assert_allclose(theta.values, 1.0 - math.log(2.0), atol=1e-15)
-
-
-def test_dual_roundtrip_entropy():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        p = rand_dist(rng, 6)
-        back = from_dual(to_dual(p))
-        np.testing.assert_allclose(back.probs, p.probs, atol=1e-12)
-
-
-def test_dual_roundtrip_quadratic():
-    rng = np.random.default_rng(13)
-    base = rng.standard_normal((4, 4))
-    gen = Mahalanobis(base @ base.T + 4.0 * np.eye(4))
-    for _ in range(10):
-        p = rand_dist(rng, 4)
-        theta = dual_map(gen, p.probs)
-        np.testing.assert_allclose(dual_inverse(gen, theta), p.probs, atol=1e-10)
-
-
-def test_dual_map_shift_invariance():
-    theta = LogCoords(np.array([0.3, -1.2, 2.0]))
-    shifted = LogCoords(theta.values + 17.0)
-    np.testing.assert_allclose(
-        from_dual(theta).probs, from_dual(shifted).probs, atol=1e-12
-    )
 
 
 # ------------------------------------------------------------ joint shapes

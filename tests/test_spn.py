@@ -13,7 +13,6 @@ from klbp.spn import (
     SpnCircuit,
     SpnNode,
     all_ones_evidence,
-    batch_marginals,
     circuit_from_json,
     circuit_to_json,
     downward_pass,
@@ -341,18 +340,6 @@ class TestMarginals:
         S, D = run_passes(c, e)
         res = euler_residuals(c, e, S, D)
         assert all(v <= 1e-12 for v in res.values())
-
-    def test_batch_matches_single(self):
-        c, e0 = gen_spn(3)
-        _, e1 = gen_spn(4) if gen_spn(4)[0].variable_order() == c.variable_order() else (None, e0)
-        evs = [e0, e1]
-        batched = batch_marginals(c, evs)
-        for e, got in zip(evs, batched):
-            S, D = run_passes(c, e)
-            want = marginal_arrays(c, e, S, D)
-            for var in c.variable_order():
-                np.testing.assert_allclose(got[var], want[var], atol=1e-14)
-
 
 class TestGatesAndMultipliers:
     def test_gate_report_example(self):
