@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -85,7 +86,7 @@ PRIMITIVES = {
     "sub": Primitive(2, lambda v, c: v[0] - v[1], lambda v, out, c: (1.0, -1.0)),
     "mul": Primitive(2, lambda v, c: v[0] * v[1], lambda v, out, c: (v[1], v[0])),
     "div": Primitive(
-        2, _div, lambda v, out, c: (1.0 / v[1], -v[0] / (v[1] * v[1])), hazard=True
+        2, _div, lambda v, out, c: (1.0 / v[1], -(v[0] / v[1]) / v[1]), hazard=True
     ),
     "exp": Primitive(1, lambda v, c: math.exp(v[0]), lambda v, out, c: (out,)),
     "log": Primitive(1, _log, lambda v, out, c: (1.0 / v[0],), hazard=True),
@@ -145,6 +146,10 @@ class CompGraph:
             raise ValidationError(f"output node {output!r} does not exist")
         self._topo = topo_sort({n.id: n.inputs for n in self.nodes})
 
+    @cached_property
+    def _validation(self) -> dict:
+        return _dag_report(self)
+
     def node(self, node_id: str) -> CompNode:
         return self._by_id[node_id]
 
@@ -158,7 +163,20 @@ class CompGraph:
 
 
 def validate_dag(graph: CompGraph) -> dict:
-    """Report acyclicity, op-set membership, arity, and domain hazards."""
+    """Report acyclicity, op-set membership, arity, and domain hazards.
+
+    A graph is immutable, so the report is computed once per graph; every
+    call returns its own copy.
+    """
+    report = graph._validation
+    return {
+        **report,
+        "issues": list(report["issues"]),
+        "domain_hazards": list(report["domain_hazards"]),
+    }
+
+
+def _dag_report(graph: CompGraph) -> dict:
     issues: list[str] = []
     acyclic = graph._topo is not None
     if not acyclic:
@@ -204,7 +222,7 @@ def forward_eval(
     perturb one variable' means operationally: downstream nodes see the
     pinned value, everything else keeps its defining equation.
     """
-    report = validate_dag(graph)
+    report = graph._validation
     if not report["valid"]:
         raise ValidationError("; ".join(report["issues"]) or "invalid graph")
     values: dict[str, float] = {}
@@ -311,6 +329,8 @@ def backward_adjoints(
 
     The output is seeded with the log-derivative of phi at z*; each node
     then accumulates s(child) times the child's partial with respect to it.
+    An adjoint that overflows (or a partial that cannot be evaluated) raises
+    a ValidationError naming the node.
     """
     order = graph.topo_order()
     for nid in order:
@@ -319,11 +339,16 @@ def backward_adjoints(
     adjoint = {nid: 0.0 for nid in order}
     adjoint[graph.output] = seed_score(factor, trace.values[graph.output])
     for nid in reversed(order):
+        if not math.isfinite(adjoint[nid]):
+            raise ValidationError(f"node {nid!r}: adjoint overflowed to {adjoint[nid]!r}")
         node = graph.node(nid)
         if not node.inputs:
             continue
         vals = [trace.values[ref] for ref in node.inputs]
-        partials = PRIMITIVES[node.op].d(vals, trace.values[nid], node.value)
+        try:
+            partials = PRIMITIVES[node.op].d(vals, trace.values[nid], node.value)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValidationError(f"node {nid!r}: {node.op} partial failed: {exc}") from None
         for ref, partial in zip(node.inputs, partials):
             adjoint[ref] += adjoint[nid] * partial
     return adjoint

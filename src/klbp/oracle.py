@@ -355,6 +355,69 @@ def enumerate_fg_marginals(fg) -> dict:
     return out
 
 
+def _reference_upward(circuit, lam: dict) -> dict:
+    """Circuit node values by a plain node-by-node walk in topological order.
+
+    The engine's compiled passes are checked against this walk, so it shares
+    none of their code: no schedule, no arrays, one node at a time.
+    """
+    values: dict[str, float] = {}
+    for nid in circuit.topo():
+        n = circuit.node(nid)
+        if n.kind == "leaf":
+            values[nid] = float(lam[n.var][n.state])
+        elif n.kind == "product":
+            out = 1.0
+            for c in n.children:
+                out *= values[c]
+            values[nid] = out
+        else:
+            values[nid] = float(sum(w * values[c] for c, w in zip(n.children, n.weights)))
+    return values
+
+
+def _reference_upward_log(circuit, lam: dict) -> dict:
+    """Log-domain twin of ``_reference_upward`` (-inf encodes exact zeros)."""
+    logs: dict[str, float] = {}
+    for nid in circuit.topo():
+        n = circuit.node(nid)
+        if n.kind == "leaf":
+            v = float(lam[n.var][n.state])
+            logs[nid] = math.log(v) if v > 0.0 else -math.inf
+        elif n.kind == "product":
+            logs[nid] = float(sum(logs[c] for c in n.children))
+        else:
+            terms = [math.log(w) + logs[c] for c, w in zip(n.children, n.weights)]
+            top = max(terms)
+            if top == -math.inf:
+                logs[nid] = -math.inf
+            else:
+                logs[nid] = top + math.log(sum(math.exp(t - top) for t in terms))
+    return logs
+
+
+def _reference_downward(circuit, values: dict) -> tuple[dict, dict]:
+    """Node and edge adjoints by a reverse walk; a product edge multiplies
+    the sibling values one by one."""
+    D = {nid: 0.0 for nid in circuit.topo()}
+    D[circuit.root] = 1.0
+    edges: dict[tuple[str, int], float] = {}
+    for nid in reversed(circuit.topo()):
+        n = circuit.node(nid)
+        for pos, c in enumerate(n.children):
+            if n.kind == "sum":
+                contrib = D[nid] * n.weights[pos]
+            else:
+                others = 1.0
+                for j, sib in enumerate(n.children):
+                    if j != pos:
+                        others *= values[sib]
+                contrib = D[nid] * others
+            edges[(nid, pos)] = contrib
+            D[c] += contrib
+    return D, edges
+
+
 def enumerate_spn_marginals(circuit, evidence) -> dict:
     """Exact circuit marginals by network-polynomial coefficient extraction.
 
@@ -363,8 +426,9 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
     lambda_i(x_i) then give the unnormalized joint, from which marginals
     follow by direct summation.
     """
-    from .spn import Evidence, upward_pass
+    from .spn import require_valid
 
+    require_valid(circuit)
     variables = circuit.variable_order()
     sizes = [circuit.cardinality(v) for v in variables]
     n = math.prod(sizes) if sizes else 1
@@ -377,10 +441,7 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
             lam = np.zeros(circuit.cardinality(v))
             lam[t] = 1.0
             onehot[v] = lam
-        coeff = upward_pass(
-            circuit, Evidence(onehot), allow_zero_root=True
-        ).values[circuit.root]
-        weight = coeff
+        weight = _reference_upward(circuit, onehot)[circuit.root]
         for v, t in zip(variables, assign):
             weight *= evidence.lam[v][t]
         joint[assign] = weight
@@ -430,7 +491,7 @@ def _ref_partial(op: str, vals: list[float], out: float, which: int, extra) -> f
     if op == "div":
         if which == 0:
             return 1.0 / vals[1]
-        return -vals[0] / (vals[1] * vals[1])
+        return -out / vals[1]
     if op == "exp":
         return out
     if op == "log":

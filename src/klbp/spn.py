@@ -11,12 +11,29 @@ log-domain evaluation paths are provided and must agree.
 Hard (zero) evidence is legal: zeros simply propagate through the linear
 pass, and per-variable beliefs are built on the restricted support so they
 stay interior where the theory expects interior points.
+
+A circuit is immutable, so its validation report and its compiled form are
+built once, on first use, and shared by every pass.  The compiled form is a
+level schedule: nodes grouped by (level, kind), where a node's level is the
+longest path from it down to a leaf, so every child of a group sits in an
+earlier group.  Each group holds a padded child-index matrix with its
+linear and log weights; the leaves hold a gather from (variable, state) to
+an evidence slot.  The upward passes run one gather and one reduce per
+group, bottom-up; the downward pass runs top-down, gathering each node's
+adjoint from the edge adjoints that end at it and writing its own edge
+adjoints (sums: D times the weight; products: D times the product of the
+siblings, from prefix and suffix products).  All arrays are (rows, batch):
+a single query is a batch of one, and ``marginal_batch`` runs many evidence
+columns through the same two passes.  ``ValueMap`` and ``AdjointMap`` keep
+the dict-by-node-id views of a pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +131,14 @@ class SpnCircuit:
                 scopes[nid] = frozenset(merged)
         return scopes
 
+    @cached_property
+    def _validation(self) -> dict:
+        return _validation_report(self)
+
+    @cached_property
+    def _schedule(self) -> "_Schedule":
+        return _Schedule(self)
+
     def node(self, nid: str) -> SpnNode:
         return self._by_id[nid]
 
@@ -161,12 +186,30 @@ def reachable_from_root(circuit: SpnCircuit) -> set[str]:
     return seen
 
 
-def validate_spn(circuit: SpnCircuit) -> dict:
-    """Report completeness, decomposability, weight positivity, and reach.
+def _shared_scope_pairs(circuit: SpnCircuit, n: SpnNode) -> list:
+    """Child pairs of product ``n`` whose scopes meet, each with its smallest
+    shared variable, ordered by child positions.
 
-    Scope sets are computed bottom-up and returned (sorted) for inspection;
-    each violation is located by node id.
+    One pass maps every variable to the child positions that hold it; only a
+    variable held twice makes pairs, so a decomposable product costs the
+    total size of its child scopes, not a comparison per child pair.
     """
+    holders: dict[str, list[int]] = {}
+    for pos, c in enumerate(n.children):
+        for var in circuit.scope(c):
+            holders.setdefault(var, []).append(pos)
+    smallest: dict[tuple[int, int], str] = {}
+    for var, positions in holders.items():
+        for pair in itertools.combinations(positions, 2):
+            if pair not in smallest or var < smallest[pair]:
+                smallest[pair] = var
+    return [
+        (n.id, n.children[i], n.children[j], var)
+        for (i, j), var in sorted(smallest.items())
+    ]
+
+
+def _validation_report(circuit: SpnCircuit) -> dict:
     completeness = []
     decomposability = []
     positivity = []
@@ -178,15 +221,7 @@ def validate_spn(circuit: SpnCircuit) -> dict:
                 if w <= 0.0:
                     positivity.append((n.id, pos))
         elif n.kind == "product":
-            for i in range(len(n.children)):
-                for j in range(i + 1, len(n.children)):
-                    shared = circuit.scope(n.children[i]) & circuit.scope(
-                        n.children[j]
-                    )
-                    if shared:
-                        decomposability.append(
-                            (n.id, n.children[i], n.children[j], sorted(shared)[0])
-                        )
+            decomposability.extend(_shared_scope_pairs(circuit, n))
     unreachable = sorted(set(n.id for n in circuit.nodes) - reachable_from_root(circuit))
     valid = not (completeness or decomposability or positivity or unreachable)
     return {
@@ -199,8 +234,26 @@ def validate_spn(circuit: SpnCircuit) -> dict:
     }
 
 
+def validate_spn(circuit: SpnCircuit) -> dict:
+    """Report completeness, decomposability, weight positivity, and reach.
+
+    Scope sets are computed bottom-up and returned (sorted) for inspection;
+    each violation is located by node id.  A circuit is immutable, so the
+    report is computed once per circuit; every call returns its own copy.
+    """
+    report = circuit._validation
+    return {
+        **report,
+        "completeness": list(report["completeness"]),
+        "decomposability": list(report["decomposability"]),
+        "positivity": list(report["positivity"]),
+        "unreachable": list(report["unreachable"]),
+        "scopes": dict(report["scopes"]),
+    }
+
+
 def require_valid(circuit: SpnCircuit) -> None:
-    report = validate_spn(circuit)
+    report = circuit._validation
     if not report["valid"]:
         parts = []
         for key in ("completeness", "decomposability", "positivity", "unreachable"):
@@ -255,12 +308,246 @@ def check_evidence(circuit: SpnCircuit, e: Evidence) -> None:
             )
 
 
+# -------------------------------------------------------------- schedule
+
+
+@dataclass(eq=False)
+class _Group:
+    """Nodes of one (level, kind): rows ``a:b`` of the node arrays."""
+
+    kind: str
+    a: int
+    b: int
+    slots: Array | None = None  # leaves: the evidence slot of each leaf
+    children: Array | None = None  # (m, k) child rows, padded with the unit row
+    weights: Array | None = None  # (m, k, 1) sum weights, padded with 0
+    log_weights: Array | None = None
+    edges: int = 0  # first row of the group's m * k edge rows
+    incoming: Array | None = None  # edge rows ending at each node, padded: zero row
+
+
+def _sibling_products(V: Array) -> Array:
+    """Product of the other entries along axis 1, from prefix and suffix
+    products: O(k) per node and no division, so exact zeros are fine."""
+    out = np.ones_like(V)
+    np.multiply.accumulate(V[:, :-1], axis=1, out=out[:, 1:])
+    out[:, :-1] *= np.multiply.accumulate(V[:, :0:-1], axis=1)[:, ::-1]
+    return out
+
+
+class _Schedule:
+    """The compiled form of one circuit, shared by every pass and readout.
+
+    Node arrays have one row per node -- leaves first, then one contiguous
+    block per (level, kind), level being the longest path down to a leaf --
+    plus a unit row (value 1, log 0, adjoint 0) that pads child matrices.
+    Edge arrays have one row per padded (node, child position) plus a zero
+    row.  Evidence is a column of ``n_slots`` entries, one per (variable,
+    state) in ``variable_order``.  The second axis of every array is the
+    batch axis; a single query is a batch of one.
+    """
+
+    def __init__(self, circuit: SpnCircuit):
+        topo = circuit.topo()
+        by_id = circuit._by_id
+        key: dict[str, tuple] = {}  # (level, kind, topological rank)
+        for i, nid in enumerate(topo):
+            n = by_id[nid]
+            level = 1 + max(key[c][0] for c in n.children) if n.children else 0
+            key[nid] = (level, _KINDS.index(n.kind), i)
+        self.ids = sorted(topo, key=key.__getitem__)
+        row = {nid: r for r, nid in enumerate(self.ids)}
+        self.unit = len(self.ids)
+        self.root = row[circuit.root]
+        self.topo_ids = topo
+        self.topo_rows = np.array([row[nid] for nid in topo])
+
+        self.variables = circuit.variable_order()
+        self.cards = [circuit.cardinality(v) for v in self.variables]
+        self.offsets = [0, *itertools.accumulate(self.cards)]
+        self.n_slots = self.offsets[-1]
+        first_slot = dict(zip(self.variables, self.offsets))
+
+        self.groups: list[_Group] = []
+        self.edge_keys: list[tuple[str, int]] = []
+        edge_rows: list[int] = []
+        incoming: list[list[int]] = [[] for _ in self.ids]
+        width = 0
+        for _, members in itertools.groupby(self.ids, key=lambda nid: key[nid][:2]):
+            nodes = [by_id[nid] for nid in members]
+            kind = nodes[0].kind
+            a = row[nodes[0].id]
+            g = _Group(kind, a, a + len(nodes))
+            if kind == "leaf":
+                g.slots = np.array([first_slot[n.var] + n.state for n in nodes])
+            else:
+                g.children = _padded([[row[c] for c in n.children] for n in nodes], self.unit)
+                k = g.children.shape[1]
+                g.weights = _padded([n.weights for n in nodes], 0.0, k)[:, :, None]
+                g.edges = width
+                for i, n in enumerate(nodes):
+                    for pos, c in enumerate(n.children):
+                        incoming[row[c]].append(width + i * k + pos)
+                        edge_rows.append(width + i * k + pos)
+                        self.edge_keys.append((n.id, pos))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    g.log_weights = np.log(g.weights)
+                width += len(nodes) * k
+            self.groups.append(g)
+        self.width = width  # also the zero edge row
+        self.edge_rows = np.array(edge_rows, dtype=np.intp)
+        for g in self.groups:
+            g.incoming = _padded(incoming[g.a : g.b], width)
+            if g.a <= self.root < g.b:
+                self.root_group = g
+
+        leaves_at = [[] for _ in range(self.n_slots)]
+        for r, s in enumerate(self.groups[0].slots):
+            leaves_at[s].append(r)
+        self.slot_leaves = _padded(leaves_at, self.unit)
+
+        # readout orders: sums by id, product edges by (id, position)
+        where = {}
+        for gi, g in enumerate(self.groups):
+            for i, nid in enumerate(self.ids[g.a : g.b]):
+                where[nid] = (gi, i)
+        self.sum_ids = sorted(n.id for n in circuit.nodes if n.kind == "sum")
+        self.sum_rows = np.array([row[nid] for nid in self.sum_ids], dtype=np.intp)
+        self.sum_groups = sorted({where[nid][0] for nid in self.sum_ids})
+        self.sum_cells = [
+            (nid, *where[nid], circuit.node(nid).children) for nid in self.sum_ids
+        ]
+        edge_row = dict(zip(self.edge_keys, edge_rows))
+        self.product_edge_keys = sorted(
+            edge for edge in self.edge_keys if by_id[edge[0]].kind == "product"
+        )
+        self.product_edge_rows = np.array(
+            [edge_row[edge] for edge in self.product_edge_keys], dtype=np.intp
+        )
+        self.product_edge_parents = np.array(
+            [row[nid] for nid, _ in self.product_edge_keys], dtype=np.intp
+        )
+
+    # ------------------------------------------------------------ passes
+
+    def up(self, X: Array) -> Array:
+        """Node values for evidence columns ``X`` (slots x batch)."""
+        S = np.empty((self.unit + 1, X.shape[1]))
+        S[self.unit] = 1.0
+        leaves = self.groups[0]
+        np.take(X, leaves.slots, axis=0, out=S[: leaves.b])
+        for g in self.groups[1:]:
+            V = S[g.children]
+            if g.kind == "product":
+                np.multiply.reduce(V, axis=1, out=S[g.a : g.b])
+            else:
+                V *= g.weights
+                np.add.reduce(V, axis=1, out=S[g.a : g.b])
+        return S
+
+    def up_log(self, X: Array) -> Array:
+        """Log node values; -inf encodes exact zeros."""
+        L = np.empty((self.unit + 1, X.shape[1]))
+        L[self.unit] = 0.0
+        leaves = self.groups[0]
+        with np.errstate(divide="ignore"):
+            np.log(X[leaves.slots], out=L[: leaves.b])
+            for g in self.groups[1:]:
+                T = L[g.children]
+                if g.kind == "product":
+                    np.add.reduce(T, axis=1, out=L[g.a : g.b])
+                    continue
+                T += g.log_weights
+                top = T.max(axis=1)
+                top[top == -np.inf] = 0.0  # every term zero: the sum stays -inf
+                T -= top[:, None, :]
+                np.exp(T, out=T)
+                total = T.sum(axis=1)
+                np.log(total, out=total)
+                np.add(total, top, out=L[g.a : g.b])
+        return L
+
+    def down(self, S: Array) -> tuple[Array, Array]:
+        """Node adjoints D and edge adjoints E, top level first.
+
+        A node's adjoint is the sum of the edge adjoints that end at it,
+        gathered once every parent (all on higher levels) has written them.
+        """
+        batch = S.shape[1]
+        D = np.empty_like(S)
+        D[self.unit] = 0.0
+        E = np.empty((self.width + 1, batch))
+        E[self.width] = 0.0
+        for g in reversed(self.groups):
+            Dg = D[g.a : g.b]
+            np.add.reduce(E[g.incoming], axis=1, out=Dg)
+            if g is self.root_group:
+                D[self.root] += 1.0
+            if g.kind == "leaf":
+                continue
+            m, k = g.children.shape
+            block = E[g.edges : g.edges + m * k].reshape(m, k, batch)
+            if g.kind == "sum":
+                np.multiply(g.weights, Dg[:, None, :], out=block)
+            else:
+                np.multiply(_sibling_products(S[g.children]), Dg[:, None, :], out=block)
+        return D, E
+
+    def lam_adjoints(self, D: Array) -> Array:
+        """dS/dlambda per evidence slot: the adjoints of its leaves, summed."""
+        return D[self.slot_leaves].sum(axis=1)
+
+    # ------------------------------------------------------ dict views
+
+    def node_dict(self, A: Array) -> dict:
+        return dict(zip(self.topo_ids, A[self.topo_rows, 0].tolist()))
+
+    def edge_dict(self, E: Array) -> dict:
+        return dict(zip(self.edge_keys, E[self.edge_rows, 0].tolist()))
+
+
+def _padded(lists: list, pad, width: int | None = None) -> Array:
+    """Rows of unequal length as one matrix, filled out with ``pad`` (whose
+    type sets the dtype)."""
+    if width is None:
+        width = max(map(len, lists), default=0)
+    rows = [[*items, *[pad] * (width - len(items))] for items in lists]
+    return np.array(rows, dtype=type(pad)).reshape(len(lists), width)
+
+
+def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
+    sched = circuit._schedule
+    arrays = [e.lam[v] for v in sched.variables]
+    if list(map(len, arrays)) != sched.cards:
+        check_evidence(circuit, e)
+    return np.concatenate(arrays)[:, None]
+
+
+def _value_array(circuit: SpnCircuit, S: "ValueMap") -> Array:
+    sched = circuit._schedule
+    if S._arrays is not None and S._arrays[0] is sched:
+        return S._arrays[1]
+    return np.array([*map(S.values.__getitem__, sched.ids), 1.0])[:, None]
+
+
+def _adjoint_arrays(circuit: SpnCircuit, D: "AdjointMap") -> tuple[Array, Array]:
+    sched = circuit._schedule
+    if D._arrays is not None and D._arrays[0] is sched:
+        return D._arrays[1], D._arrays[2]
+    Da = np.array([*map(D.values.__getitem__, sched.ids), 0.0])[:, None]
+    Ea = np.zeros((sched.width + 1, 1))
+    Ea[sched.edge_rows, 0] = [D.edges[key] for key in sched.edge_keys]
+    return Da, Ea
+
+
 # ---------------------------------------------------------------- passes
 
 
 @dataclass(frozen=True, eq=False)
 class ValueMap:
     values: dict
+    # (schedule, node array) when the map came from a pass; read-only
+    _arrays: tuple | None = field(default=None, repr=False)
 
     def root_value(self, circuit: SpnCircuit) -> float:
         return self.values[circuit.root]
@@ -270,6 +557,8 @@ class ValueMap:
 class AdjointMap:
     values: dict
     edges: dict  # (parent id, child position) -> edge adjoint
+    # (schedule, node array, edge array) when the map came from a pass
+    _arrays: tuple | None = field(default=None, repr=False)
 
 
 def upward_pass(
@@ -288,23 +577,11 @@ def upward_pass(
     if check:
         require_valid(circuit)
         check_evidence(circuit, e)
-    values: dict[str, float] = {}
-    for nid in circuit.topo():
-        n = circuit.node(nid)
-        if n.kind == "leaf":
-            values[nid] = float(e.lam[n.var][n.state])
-        elif n.kind == "product":
-            out = 1.0
-            for c in n.children:
-                out *= values[c]
-            values[nid] = out
-        else:
-            values[nid] = float(
-                sum(w * values[c] for c, w in zip(n.children, n.weights))
-            )
-    if values[circuit.root] <= 0.0 and not allow_zero_root:
+    sched = circuit._schedule
+    S = sched.up(_evidence_column(circuit, e))
+    if S[sched.root, 0] <= 0.0 and not allow_zero_root:
         raise ValidationError("evidence has empty support: root value is zero")
-    return ValueMap(values)
+    return ValueMap(sched.node_dict(S), (sched, S))
 
 
 def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> dict:
@@ -312,65 +589,66 @@ def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> 
     if check:
         require_valid(circuit)
         check_evidence(circuit, e)
-    logs: dict[str, float] = {}
-    with np.errstate(divide="ignore"):
-        for nid in circuit.topo():
-            n = circuit.node(nid)
-            if n.kind == "leaf":
-                logs[nid] = float(np.log(e.lam[n.var][n.state]))
-            elif n.kind == "product":
-                logs[nid] = float(sum(logs[c] for c in n.children))
-            else:
-                terms = np.array(
-                    [math.log(w) + logs[c] for c, w in zip(n.children, n.weights)]
-                )
-                logs[nid] = float(np.logaddexp.reduce(terms))
-    if logs[circuit.root] == -math.inf:
+    sched = circuit._schedule
+    L = sched.up_log(_evidence_column(circuit, e))
+    if L[sched.root, 0] == -math.inf:
         raise ValidationError("evidence has empty support: root value is zero")
-    return logs
+    return sched.node_dict(L)
 
 
 def downward_pass(circuit: SpnCircuit, S: ValueMap) -> AdjointMap:
     """Reverse sweep: D(root)=1, sums push D*w, products push D times the
     product of the sibling values; per-edge contributions are retained."""
-    D = {nid: 0.0 for nid in circuit.topo()}
-    D[circuit.root] = 1.0
-    edges: dict[tuple[str, int], float] = {}
-    for nid in reversed(circuit.topo()):
-        n = circuit.node(nid)
-        if n.kind == "sum":
-            for pos, (c, w) in enumerate(zip(n.children, n.weights)):
-                contrib = D[nid] * w
-                edges[(nid, pos)] = contrib
-                D[c] += contrib
-        elif n.kind == "product":
-            vals = [S.values[c] for c in n.children]
-            for pos, c in enumerate(n.children):
-                others = 1.0
-                for j, v in enumerate(vals):
-                    if j != pos:
-                        others *= v
-                contrib = D[nid] * others
-                edges[(nid, pos)] = contrib
-                D[c] += contrib
-    return AdjointMap(D, edges)
+    sched = circuit._schedule
+    D, E = sched.down(_value_array(circuit, S))
+    return AdjointMap(sched.node_dict(D), sched.edge_dict(E), (sched, D, E))
+
+
+# Cells (nodes x columns) per batched pass; bounds the memory of one chunk.
+_BATCH_CELLS = 1 << 20
+
+
+def marginal_batch(circuit: SpnCircuit, lam) -> Array:
+    """Full-alphabet marginals for a batch of evidence columns.
+
+    ``lam`` is (slots, batch): one column per query, one row per (variable,
+    state) in ``variable_order`` with states in order.  Returns the
+    marginals in the same layout.  Every column runs through one upward and
+    one downward pass (in chunks of columns when the batch is large).
+    """
+    sched = circuit._schedule
+    X = np.asarray(lam, dtype=float)
+    if X.ndim != 2 or X.shape[0] != sched.n_slots:
+        raise ValidationError(f"evidence batch must have {sched.n_slots} rows")
+    if not np.all(np.isfinite(X)) or np.any(X < 0.0):
+        raise ValidationError("evidence batch must be finite and nonnegative")
+    out = np.empty_like(X)
+    step = max(1, _BATCH_CELLS // (sched.unit + sched.width + 2))
+    for lo in range(0, X.shape[1], step):
+        Xc = X[:, lo : lo + step]
+        S = sched.up(Xc)
+        if np.any(S[sched.root] <= 0.0):
+            raise ValidationError("evidence has empty support: root value is zero")
+        D, _ = sched.down(S)
+        out[:, lo : lo + step] = Xc * sched.lam_adjoints(D) / S[sched.root]
+    return out
 
 
 # -------------------------------------------------------------- readouts
 
 
+def _split(sched: _Schedule, column: Array) -> list:
+    return [column[a:b] for a, b in zip(sched.offsets, sched.offsets[1:])]
+
+
 def marginal_arrays(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap) -> dict:
     """Full-alphabet per-variable marginal vectors (zeros kept in place)."""
-    root = S.values[circuit.root]
-    out = {}
-    for var in circuit.variable_order():
-        card = circuit.cardinality(var)
-        vec = np.zeros(card)
-        for t in range(card):
-            acc = sum(D.values[leaf] for leaf in circuit.leaves_for(var, t))
-            vec[t] = e.lam[var][t] * acc / root
-        out[var] = vec
-    return out
+    sched = circuit._schedule
+    Sa = _value_array(circuit, S)
+    Da, _ = _adjoint_arrays(circuit, D)
+    X = _evidence_column(circuit, e)
+    M = (X * sched.lam_adjoints(Da) / Sa[sched.root])[:, 0]
+    return dict(zip(sched.variables, _split(sched, M)))
 
 
 def variable_marginals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap) -> dict:
@@ -393,32 +671,40 @@ def variable_marginals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: Adjoint
 
 def euler_residuals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap) -> dict:
     """Relative residual of sum_t lambda_{i,t} dS/dlambda_{i,t} = S(e)."""
-    root = S.values[circuit.root]
-    out = {}
-    for var in circuit.variable_order():
-        total = 0.0
-        for t in range(circuit.cardinality(var)):
-            acc = sum(D.values[leaf] for leaf in circuit.leaves_for(var, t))
-            total += e.lam[var][t] * acc
-        out[var] = abs(total - root) / abs(root)
-    return out
+    sched = circuit._schedule
+    Sa = _value_array(circuit, S)
+    Da, _ = _adjoint_arrays(circuit, D)
+    X = _evidence_column(circuit, e)
+    root = Sa[sched.root, 0]
+    totals = np.add.reduceat((X * sched.lam_adjoints(Da))[:, 0], sched.offsets[:-1])
+    return dict(zip(sched.variables, (np.abs(totals - root) / abs(root)).tolist()))
 
 
 def gate_report(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     """Per-sum gate posteriors: local b_s, visit probability pi, global gate."""
-    root = S.values[circuit.root]
+    sched = circuit._schedule
+    Sa = _value_array(circuit, S)
+    Da, _ = _adjoint_arrays(circuit, D)
+    root = Sa[sched.root, 0]
+    per_group = {}
+    for gi in sched.sum_groups:
+        g = sched.groups[gi]
+        V, W = Sa[g.children, 0], g.weights[:, :, 0]
+        Sg, Dg = Sa[g.a : g.b, 0], Da[g.a : g.b, 0]
+        per_group[gi] = (
+            W * V / Sg[:, None],
+            (Dg * Sg / root).tolist(),
+            Dg[:, None] * W * V / root,
+        )
     out = {}
-    for nid in sorted(n.id for n in circuit.nodes if n.kind == "sum"):
-        n = circuit.node(nid)
-        child_vals = np.array([S.values[c] for c in n.children])
-        weights = np.array(n.weights)
-        local = weights * child_vals / S.values[nid]
-        pi = D.values[nid] * S.values[nid] / root
+    for nid, gi, i, children in sched.sum_cells:
+        local, pi, glob = per_group[gi]
+        k = len(children)
         out[nid] = {
-            "children": tuple(n.children),
-            "b": local,
-            "pi": pi,
-            "global": D.values[nid] * weights * child_vals / root,
+            "children": children,
+            "b": local[i, :k],
+            "pi": pi[i],
+            "global": glob[i, :k],
         }
     return out
 
@@ -431,27 +717,37 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     each product-edge multiplier must equal its retained edge adjoint over
     S(e).
     """
-    root = S.values[circuit.root]
-    pis = {}
-    for nid in sorted(n.id for n in circuit.nodes if n.kind == "sum"):
-        pi = D.values[nid] * S.values[nid] / root
-        alt = (D.values[nid] / root) * S.values[nid]
-        if abs(pi - alt) > 1e-12 * max(1.0, abs(pi)):
-            raise ValidationError(f"visit-probability identity failed at {nid!r}")
-        pis[nid] = pi
-    mus = {}
-    for nid in sorted(n.id for n in circuit.nodes if n.kind == "product"):
-        n = circuit.node(nid)
-        for pos, c in enumerate(n.children):
-            direct = D.edges[(nid, pos)] / root
-            vals = [S.values[cc] for j, cc in enumerate(n.children) if j != pos]
-            alt = D.values[nid] * math.prod(vals) / root
-            if abs(direct - alt) > 1e-12 * max(1.0, abs(direct)):
-                raise ValidationError(
-                    f"edge-multiplier identity failed at {nid!r} child {c!r}"
-                )
-            mus[(nid, pos)] = direct
-    return {"pi": pis, "mu": mus}
+    sched = circuit._schedule
+    Sa = _value_array(circuit, S)
+    Da, Ea = _adjoint_arrays(circuit, D)
+    root = Sa[sched.root, 0]
+    Ds, Ss = Da[sched.sum_rows, 0], Sa[sched.sum_rows, 0]
+    pi = Ds * Ss / root
+    alt = (Ds / root) * Ss
+    bad = np.abs(pi - alt) > 1e-12 * np.maximum(1.0, np.abs(pi))
+    if bad.any():
+        nid = sched.sum_ids[int(np.argmax(bad))]
+        raise ValidationError(f"visit-probability identity failed at {nid!r}")
+
+    siblings = np.zeros(sched.width + 1)
+    for g in sched.groups[1:]:
+        if g.kind == "product":
+            m, k = g.children.shape
+            siblings[g.edges : g.edges + m * k] = _sibling_products(
+                Sa[g.children]
+            ).ravel()
+    rows = sched.product_edge_rows
+    direct = Ea[rows, 0] / root
+    alt = Da[sched.product_edge_parents, 0] * siblings[rows] / root
+    bad = np.abs(direct - alt) > 1e-12 * np.maximum(1.0, np.abs(direct))
+    if bad.any():
+        nid, pos = sched.product_edge_keys[int(np.argmax(bad))]
+        c = circuit.node(nid).children[pos]
+        raise ValidationError(f"edge-multiplier identity failed at {nid!r} child {c!r}")
+    return {
+        "pi": dict(zip(sched.sum_ids, pi.tolist())),
+        "mu": dict(zip(sched.product_edge_keys, direct.tolist())),
+    }
 
 
 # ---------------------------------------------------------------- unroll

@@ -95,6 +95,18 @@ def files(tmp_path_factory):
             "output": "y",
         },
     )
+    div = save(
+        "div.json",
+        {
+            "schema": "v1",
+            "nodes": [
+                {"id": "a", "op": "input", "inputs": []},
+                {"id": "b", "op": "input", "inputs": []},
+                {"id": "y", "op": "div", "inputs": ["a", "b"]},
+            ],
+            "output": "y",
+        },
+    )
     joint = save(
         "joint.json",
         {
@@ -138,6 +150,7 @@ def files(tmp_path_factory):
         "bad": bad,
         "logistic": logistic,
         "exp": exp,
+        "div": div,
         "joint": joint,
         "copies": copies,
         "coin": coin,
@@ -340,6 +353,16 @@ class TestDagCommands:
         assert rep["outputs"]["output"] == pytest.approx(0.5)
         code, rep = run_cli(
             capsys, "dag", "eval", "--graph", files["exp"], "--at=x=1000"
+        )
+        assert code == 3 and rep is None
+        # a/b is finite, but its adjoint with respect to b overflows
+        code, rep = run_cli(
+            capsys, "dag", "eval", "--graph", files["div"], "--at=a=1,b=1e-200"
+        )
+        assert code == 0
+        code, rep = run_cli(
+            capsys, "dag", "adjoints", "--graph", files["div"],
+            "--factor", "exp:1", "--at=a=1,b=1e-200",
         )
         assert code == 3 and rep is None
 

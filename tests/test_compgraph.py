@@ -65,6 +65,12 @@ def test_validate_rejects_non_smooth_op():
     report = validate_dag(g)
     assert not report["valid"]
     assert any("relu" in issue for issue in report["issues"])
+    # the report is computed once per graph; a caller's edits stay local
+    report["issues"].clear()
+    report["valid"] = True
+    assert validate_dag(g)["issues"] == ["node 'r': op 'relu' is not in the C1 primitive set"]
+    with pytest.raises(ValidationError, match="relu"):
+        forward_eval(g, {"x": 1.0})
 
 
 def test_validate_arity_and_missing_value():
@@ -246,6 +252,22 @@ def test_every_primitive_partial_matches_central_difference():
                 lo[i] -= h
                 fd = (prim.f(hi, c) - prim.f(lo, c)) / (2.0 * h)
                 assert partial == pytest.approx(fd, rel=1e-6, abs=1e-6), (op, i)
+    # b*b underflows to zero while a/b and both partials stay finite
+    partials = PRIMITIVES["div"].d([1e-200, 1e-200], 1.0, None)
+    assert partials == pytest.approx((1e200, -1e200), rel=1e-15)
+    # the partial with respect to b overflows; the reverse sweep names the node
+    g = CompGraph(
+        [CompNode("a", "input"), CompNode("b", "input"), CompNode("y", "div", ("a", "b"))],
+        "y",
+    )
+    trace = forward_eval(g, {"a": 1.0, "b": 1e-200})
+    with pytest.raises(ValidationError, match="node 'b': adjoint overflowed"):
+        backward_adjoints(g, trace, ExpScale(1.0))
+    # a partial that Python cannot evaluate is reported the same way
+    g = CompGraph([CompNode("x", "input"), CompNode("y", "pow", ("x",), 0.0)], "y")
+    trace = forward_eval(g, {"x": 0.0})
+    with pytest.raises(ValidationError, match="node 'y': pow partial failed"):
+        backward_adjoints(g, trace, ExpScale(1.0))
 
 
 def test_topological_order_takes_smallest_ready_id_first():

@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+
+from klbp import oracle
 
 from klbp.budgets import BudgetError
 from klbp.errors import SchemaError, ValidationError
@@ -22,6 +25,7 @@ from klbp.spn import (
     gate_report,
     kkt_multipliers,
     marginal_arrays,
+    marginal_batch,
     unroll_circuit,
     upward_pass,
     upward_pass_log,
@@ -144,6 +148,39 @@ class TestValidationReport:
         report = validate_spn(SpnCircuit(nodes, "a"))
         assert report["unreachable"] == ["dangling"]
         assert not report["valid"]
+
+    def test_mutating_a_report_does_not_change_the_next_one(self):
+        nodes = [
+            SpnNode("a", "leaf", var="X", state=0),
+            SpnNode("b", "leaf", var="X", state=1),
+            SpnNode("s", "sum", ("a", "b"), (0.5, -0.5)),
+            SpnNode("p", "product", ("a", "b")),
+        ]
+        c = SpnCircuit(nodes, "s")
+        first = validate_spn(c)
+        expected = json.dumps(first, sort_keys=True)
+        for key in ("completeness", "decomposability", "positivity", "unreachable"):
+            first[key].append(("junk",))
+        first["scopes"]["a"] = ("junk",)
+        first["valid"] = True
+        assert json.dumps(validate_spn(c), sort_keys=True) == expected
+        with pytest.raises(ValidationError, match="positivity"):
+            upward_pass(c, Evidence({"X": [1.0, 1.0]}))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_decomposability_matches_the_pairwise_rule(self, seed):
+        c = _overlapping_products(seed)
+        expected = []
+        for n in c.nodes:
+            if n.kind != "product":
+                continue
+            for i, j in itertools.combinations(range(len(n.children)), 2):
+                shared = c.scope(n.children[i]) & c.scope(n.children[j])
+                if shared:
+                    expected.append((n.id, n.children[i], n.children[j], sorted(shared)[0]))
+        got = validate_spn(c)["decomposability"]
+        assert got == expected
+        assert got  # every seed draws at least one overlapping product
 
     def test_invalid_circuit_blocks_passes(self):
         nodes = [
@@ -457,3 +494,126 @@ class TestJson:
             evidence_from_json({"nope": {}})
         with pytest.raises(SchemaError):
             evidence_from_json({"lambda": {"X": [0.0, 0.0]}})
+
+
+# ----------------------------------------------------- compiled passes
+
+
+def _overlapping_products(seed):
+    """Random circuit whose products draw children (repeats allowed) from a
+    pool of leaves, sums and earlier products, so their scopes often meet."""
+    rng = np.random.default_rng(seed)
+    nodes = [SpnNode(f"l{v}{t}", "leaf", var=f"V{v}", state=t) for v in range(5) for t in range(2)]
+    pool = [n.id for n in nodes]
+    for i in range(4):
+        kids = tuple(pool[k] for k in rng.integers(len(pool), size=int(rng.integers(1, 4))))
+        nodes.append(SpnNode(f"s{i}", "sum", kids, tuple(rng.uniform(0.1, 1.0, len(kids)))))
+        pool.append(f"s{i}")
+    for i in range(8):
+        kids = tuple(pool[k] for k in rng.integers(len(pool), size=int(rng.integers(2, 6))))
+        nodes.append(SpnNode(f"p{i}", "product", kids))
+        pool.append(f"p{i}")
+    nodes.append(SpnNode("top", "product", ("p6", "p7", "l00")))
+    return SpnCircuit(nodes, "top")
+
+
+def _rat_spn_case():
+    from perfbench import builders
+
+    nodes, root = builders.rat_spn(3, n_vars=16, states=3, depth=2)
+    c = SpnCircuit(nodes, root)
+    lam = builders.soft_evidence(np.random.default_rng(3), 16, 3)
+    lam["X00"] = np.array([0.0, 0.5, 0.0])  # hard evidence too
+    return c, Evidence(lam)
+
+
+def _compiled_cases():
+    for seed in range(200):
+        for shared in (False, True):
+            yield gen_spn(seed, shared=shared)
+    yield _rat_spn_case()
+    c = two_component_circuit()
+    yield c, Evidence({"X": [1.0, 0.0], "Y": [0.0, 1.0]})  # root value exactly 0
+
+
+def _assert_rel(got, ref, tol, what):
+    assert got.keys() == ref.keys(), what
+    for key, r in ref.items():
+        g = got[key]
+        if r in (0.0, -np.inf):
+            assert g == r, (what, key, g, r)
+        else:
+            assert abs(g - r) <= tol * abs(r), (what, key, g, r)
+
+
+class TestCompiledPasses:
+    def test_matches_the_reference_walk(self):
+        for c, e in _compiled_cases():
+            S = upward_pass(c, e, allow_zero_root=True)
+            D = downward_pass(c, S)
+            ref_S = oracle._reference_upward(c, e.lam)
+            ref_D, ref_edges = oracle._reference_downward(c, ref_S)
+            _assert_rel(S.values, ref_S, 1e-13, "S")
+            _assert_rel(D.values, ref_D, 1e-13, "D")
+            _assert_rel(D.edges, ref_edges, 1e-13, "edges")
+            root = ref_S[c.root]
+            if root == 0.0:
+                continue
+            logs = upward_pass_log(c, e)
+            _assert_rel(logs, oracle._reference_upward_log(c, e.lam), 1e-13, "log S")
+            arrays = marginal_arrays(c, e, S, D)
+            for v in c.variable_order():
+                ref = [
+                    e.lam[v][t] * sum(ref_D[leaf] for leaf in c.leaves_for(v, t)) / root
+                    for t in range(c.cardinality(v))
+                ]
+                _assert_rel(dict(enumerate(arrays[v])), dict(enumerate(ref)), 1e-13, v)
+
+    def test_zero_root_allowed_on_request(self):
+        c = two_component_circuit()
+        e = Evidence({"X": [1.0, 0.0], "Y": [0.0, 1.0]})
+        with pytest.raises(ValidationError, match="empty support"):
+            upward_pass(c, e)
+        assert upward_pass(c, e, allow_zero_root=True).root_value(c) == 0.0
+        with pytest.raises(ValidationError, match="empty support"):
+            upward_pass_log(c, e)
+
+    def test_batch_columns_equal_single_queries(self):
+        cases = [gen_spn(seed, shared=seed % 2 == 1) for seed in range(12)]
+        cases.append(_rat_spn_case())
+        rng = np.random.default_rng(5)
+        for c, e in cases:
+            sched = c._schedule
+            queries = [e] + [
+                Evidence({v: rng.uniform(0.0, 1.0, c.cardinality(v)) for v in c.variable_order()})
+                for _ in range(4)
+            ]
+            X = np.column_stack(
+                [np.concatenate([q.lam[v] for v in c.variable_order()]) for q in queries]
+            )
+            S_all = sched.up(X)
+            D_all, E_all = sched.down(S_all)
+            M_all = marginal_batch(c, X)
+            for col, q in enumerate(queries):
+                S = upward_pass(c, q)
+                D = downward_pass(c, S)
+                single = np.concatenate(list(marginal_arrays(c, q, S, D).values()))
+                np.testing.assert_allclose(M_all[:, col], single, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(
+                    S_all[sched.topo_rows, col], list(S.values.values()), rtol=1e-14, atol=0
+                )
+                np.testing.assert_allclose(
+                    D_all[sched.topo_rows, col], list(D.values.values()), rtol=1e-14, atol=0
+                )
+                np.testing.assert_allclose(
+                    E_all[sched.edge_rows, col], list(D.edges.values()), rtol=1e-14, atol=0
+                )
+
+    def test_batch_rejects_bad_columns(self):
+        c = two_component_circuit()
+        with pytest.raises(ValidationError, match="4 rows"):
+            marginal_batch(c, np.ones((3, 2)))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            marginal_batch(c, -np.ones((4, 2)))
+        with pytest.raises(ValidationError, match="empty support"):
+            marginal_batch(c, np.array([[1.0], [0.0], [0.0], [1.0]]))

@@ -275,6 +275,40 @@ class TestRegionTwoStep:
             region_two_step(c, e)
 
 
+def _per_point_probe(circuit, box, n_samples, seed):
+    """The probe one evidence point at a time: same points, h and rule."""
+    order = [(v, t) for v in circuit.variable_order() for t in range(circuit.cardinality(v))]
+    dim = len(order)
+
+    def marginals_at(u):
+        lam = {}
+        for (v, t), val in zip(order, u):
+            lam.setdefault(v, np.zeros(circuit.cardinality(v)))[t] = np.exp(val)
+        arrays, _, _ = spn_marginals(circuit, Evidence(lam))
+        return np.concatenate([arrays[v] for v in circuit.variable_order()])
+
+    rng = np.random.default_rng(seed)
+    lo, hi = box
+    points = lo + rng.random((n_samples, dim)) * (hi - lo)
+    values = np.array([marginals_at(u) for u in points])
+    h = 1e-5
+    L_hat = 0.0
+    for u in points:
+        cols = []
+        for i in range(dim):
+            up, dn = u.copy(), u.copy()
+            up[i] += h
+            dn[i] -= h
+            cols.append((marginals_at(up) - marginals_at(dn)) / (2 * h))
+        L_hat = max(L_hat, float(np.linalg.norm(np.column_stack(cols), 2)))
+    ok = True
+    for i in range(n_samples):
+        ndu = np.linalg.norm(points[i + 1 :] - points[i], axis=1)
+        ndp = np.linalg.norm(values[i + 1 :] - values[i], axis=1)
+        ok = ok and not (ndp > 1.05 * L_hat * ndu).any()
+    return L_hat, ok
+
+
 class TestLipschitzProbe:
     def test_example_box(self):
         c = two_component_circuit()
@@ -289,6 +323,15 @@ class TestLipschitzProbe:
         c, _ = gen_spn(seed)
         report = lipschitz_probe(c, (np.log(0.5), np.log(1.0)), 40, seed)
         assert report["all_pairs_ok"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_probe_matches_a_per_point_loop(self, seed):
+        c = two_component_circuit() if seed == 0 else gen_spn(seed, shared=seed % 2 == 0)[0]
+        box = (np.log(0.5), 0.0)
+        report = lipschitz_probe(c, box, 40, seed)
+        ref_L, ref_ok = _per_point_probe(c, box, 40, seed)
+        assert report["L_hat"] == pytest.approx(ref_L, rel=1e-9)
+        assert report["all_pairs_ok"] == ref_ok
 
     def test_singleton_alphabet_contributes_zero(self):
         nodes = [
