@@ -100,7 +100,7 @@ PRIMITIVES = {
         1, lambda v, c: _softplus(v[0]), lambda v, out, c: (_sigmoid(v[0]),)
     ),
     "pow": Primitive(
-        1, _pow, lambda v, out, c: (c * v[0] ** (c - 1.0),),
+        1, _pow, lambda v, out, c: (0.0 if c == 0.0 else c * v[0] ** (c - 1.0),),
         needs_value=True, hazard=True,
     ),
 }

@@ -502,8 +502,8 @@ def _ref_partial(op: str, vals: list[float], out: float, which: int, extra) -> f
         return 1.0 - out * out
     if op == "softplus":
         return 1.0 / (1.0 + math.exp(-vals[0]))
-    if op == "pow":
-        return extra * vals[0] ** (extra - 1.0)
+    if op == "pow":  # x**0 is constant; x**-1 would fail at x = 0
+        return 0.0 if extra == 0.0 else extra * vals[0] ** (extra - 1.0)
     raise ValidationError(f"reference sweep: unsupported op {op!r}")
 
 

@@ -106,13 +106,6 @@ class DistVec:
             raise ValidationError("weight vector must be strictly positive")
         return DistVec(arr / total, outcomes)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "v1",
-            "probs": [float(x) for x in self.probs],
-            "outcomes": None if self.outcomes is None else list(self.outcomes),
-        }
-
     @staticmethod
     def from_json(obj) -> "DistVec":
         if not isinstance(obj, dict) or "probs" not in obj:

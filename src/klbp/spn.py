@@ -24,15 +24,17 @@ adjoint from the edge adjoints that end at it and writing its own edge
 adjoints (sums: D times the weight; products: D times the product of the
 siblings, from prefix and suffix products).  All arrays are (rows, batch):
 a single query is a batch of one, and ``marginal_batch`` runs many evidence
-columns through the same two passes.  ``ValueMap`` and ``AdjointMap`` keep
-the dict-by-node-id views of a pass.
+columns through the same two passes.  ``ValueMap`` and ``AdjointMap`` hold
+only a pass's arrays, read through read-only mappings keyed by node id or
+by (parent id, child position); readouts refuse a map from another circuit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,10 +110,6 @@ class SpnCircuit:
         if self._topo is None:
             raise ValidationError("circuit contains a cycle")
         self._scopes = self._compute_scopes()
-        self._leaf_groups: dict[tuple[str, int], list[str]] = {}
-        for n in self.nodes:
-            if n.kind == "leaf":
-                self._leaf_groups.setdefault((n.var, n.state), []).append(n.id)
         self._cards: dict[str, int] = {}
         for n in self.nodes:
             if n.kind == "leaf":
@@ -155,9 +153,6 @@ class SpnCircuit:
         if var not in self._cards:
             raise ValidationError(f"unknown variable {var!r}")
         return self._cards[var]
-
-    def leaves_for(self, var: str, state: int) -> list[str]:
-        return list(self._leaf_groups.get((var, state), ()))
 
     def parent_count(self) -> dict[str, int]:
         count = {n.id: 0 for n in self.nodes}
@@ -267,25 +262,31 @@ def require_valid(circuit: SpnCircuit) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Evidence:
-    """Per-variable indicator values lambda, nonnegative with nonempty support."""
+    """Per-variable indicator values lambda, nonnegative with nonempty support,
+    kept as read-only slices of one copy; the caller's arrays stay untouched."""
 
     lam: dict
 
     def __post_init__(self):
-        fixed = {}
-        for var, values in self.lam.items():
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValidationError(f"evidence for {var!r} must be a 1-d vector")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-                raise ValidationError(
-                    f"evidence for {var!r} must be finite and nonnegative"
-                )
-            if arr.sum() <= 0.0:
-                raise ValidationError(f"evidence for {var!r} has empty support")
-            arr.flags.writeable = False
-            fixed[var] = arr
-        object.__setattr__(self, "lam", fixed)
+        names = list(self.lam)
+        arrays = [np.asarray(values, dtype=float) for values in self.lam.values()]
+        # the variables before the first malformed one are checked together;
+        # an error names the first failing variable and its first failing check
+        n = next((i for i, a in enumerate(arrays) if a.ndim != 1 or a.size == 0), len(arrays))
+        flat = np.concatenate(arrays[:n]) if n else np.empty(0)
+        bounds = np.cumsum([0, *(a.size for a in arrays[:n])])
+        bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), bounds[:-1])
+        empty = ~np.logical_or.reduceat(flat > 0.0, bounds[:-1])
+        failed = np.flatnonzero(bad | empty)
+        if failed.size:
+            i = failed[0]
+            problem = "must be finite and nonnegative" if bad[i] else "has empty support"
+            raise ValidationError(f"evidence for {names[i]!r} {problem}")
+        if n < len(names):
+            raise ValidationError(f"evidence for {names[n]!r} must be a 1-d vector")
+        flat.flags.writeable = False
+        cuts = bounds.tolist()
+        object.__setattr__(self, "lam", {v: flat[a:b] for v, a, b in zip(names, cuts, cuts[1:])})
 
     def is_soft(self) -> bool:
         return all(np.all(arr > 0.0) for arr in self.lam.values())
@@ -355,12 +356,11 @@ class _Schedule:
             n = by_id[nid]
             level = 1 + max(key[c][0] for c in n.children) if n.children else 0
             key[nid] = (level, _KINDS.index(n.kind), i)
-        self.ids = sorted(topo, key=key.__getitem__)
-        row = {nid: r for r, nid in enumerate(self.ids)}
-        self.unit = len(self.ids)
+        ids = sorted(topo, key=key.__getitem__)
+        row = {nid: r for r, nid in enumerate(ids)}
+        self.node_rows = {nid: row[nid] for nid in topo}  # keys in topological order
+        self.unit = len(ids)
         self.root = row[circuit.root]
-        self.topo_ids = topo
-        self.topo_rows = np.array([row[nid] for nid in topo])
 
         self.variables = circuit.variable_order()
         self.cards = [circuit.cardinality(v) for v in self.variables]
@@ -369,11 +369,10 @@ class _Schedule:
         first_slot = dict(zip(self.variables, self.offsets))
 
         self.groups: list[_Group] = []
-        self.edge_keys: list[tuple[str, int]] = []
-        edge_rows: list[int] = []
-        incoming: list[list[int]] = [[] for _ in self.ids]
+        self.edge_rows: dict[tuple[str, int], int] = {}  # (parent id, child position)
+        incoming: list[list[int]] = [[] for _ in ids]
         width = 0
-        for _, members in itertools.groupby(self.ids, key=lambda nid: key[nid][:2]):
+        for _, members in itertools.groupby(ids, key=lambda nid: key[nid][:2]):
             nodes = [by_id[nid] for nid in members]
             kind = nodes[0].kind
             a = row[nodes[0].id]
@@ -388,14 +387,12 @@ class _Schedule:
                 for i, n in enumerate(nodes):
                     for pos, c in enumerate(n.children):
                         incoming[row[c]].append(width + i * k + pos)
-                        edge_rows.append(width + i * k + pos)
-                        self.edge_keys.append((n.id, pos))
+                        self.edge_rows[n.id, pos] = width + i * k + pos
                 with np.errstate(divide="ignore", invalid="ignore"):
                     g.log_weights = np.log(g.weights)
                 width += len(nodes) * k
             self.groups.append(g)
         self.width = width  # also the zero edge row
-        self.edge_rows = np.array(edge_rows, dtype=np.intp)
         for g in self.groups:
             g.incoming = _padded(incoming[g.a : g.b], width)
             if g.a <= self.root < g.b:
@@ -409,7 +406,7 @@ class _Schedule:
         # readout orders: sums by id, product edges by (id, position)
         where = {}
         for gi, g in enumerate(self.groups):
-            for i, nid in enumerate(self.ids[g.a : g.b]):
+            for i, nid in enumerate(ids[g.a : g.b]):
                 where[nid] = (gi, i)
         self.sum_ids = sorted(n.id for n in circuit.nodes if n.kind == "sum")
         self.sum_rows = np.array([row[nid] for nid in self.sum_ids], dtype=np.intp)
@@ -417,12 +414,11 @@ class _Schedule:
         self.sum_cells = [
             (nid, *where[nid], circuit.node(nid).children) for nid in self.sum_ids
         ]
-        edge_row = dict(zip(self.edge_keys, edge_rows))
         self.product_edge_keys = sorted(
-            edge for edge in self.edge_keys if by_id[edge[0]].kind == "product"
+            edge for edge in self.edge_rows if by_id[edge[0]].kind == "product"
         )
         self.product_edge_rows = np.array(
-            [edge_row[edge] for edge in self.product_edge_keys], dtype=np.intp
+            [self.edge_rows[edge] for edge in self.product_edge_keys], dtype=np.intp
         )
         self.product_edge_parents = np.array(
             [row[nid] for nid, _ in self.product_edge_keys], dtype=np.intp
@@ -497,14 +493,6 @@ class _Schedule:
         """dS/dlambda per evidence slot: the adjoints of its leaves, summed."""
         return D[self.slot_leaves].sum(axis=1)
 
-    # ------------------------------------------------------ dict views
-
-    def node_dict(self, A: Array) -> dict:
-        return dict(zip(self.topo_ids, A[self.topo_rows, 0].tolist()))
-
-    def edge_dict(self, E: Array) -> dict:
-        return dict(zip(self.edge_keys, E[self.edge_rows, 0].tolist()))
-
 
 def _padded(lists: list, pad, width: int | None = None) -> Array:
     """Rows of unequal length as one matrix, filled out with ``pad`` (whose
@@ -523,31 +511,36 @@ def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
     return np.concatenate(arrays)[:, None]
 
 
-def _value_array(circuit: SpnCircuit, S: "ValueMap") -> Array:
-    sched = circuit._schedule
-    if S._arrays is not None and S._arrays[0] is sched:
-        return S._arrays[1]
-    return np.array([*map(S.values.__getitem__, sched.ids), 1.0])[:, None]
-
-
-def _adjoint_arrays(circuit: SpnCircuit, D: "AdjointMap") -> tuple[Array, Array]:
-    sched = circuit._schedule
-    if D._arrays is not None and D._arrays[0] is sched:
-        return D._arrays[1], D._arrays[2]
-    Da = np.array([*map(D.values.__getitem__, sched.ids), 0.0])[:, None]
-    Ea = np.zeros((sched.width + 1, 1))
-    Ea[sched.edge_rows, 0] = [D.edges[key] for key in sched.edge_keys]
-    return Da, Ea
-
-
 # ---------------------------------------------------------------- passes
+
+
+class _Column(Mapping):
+    """Read-only view of a pass array's first column, keyed like ``rows``."""
+
+    def __init__(self, rows: dict, A: Array):
+        self._rows = rows
+        self._A = A
+
+    def __getitem__(self, key) -> float:
+        return float(self._A[self._rows[key], 0])
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 @dataclass(frozen=True, eq=False)
 class ValueMap:
-    values: dict
-    # (schedule, node array) when the map came from a pass; read-only
-    _arrays: tuple | None = field(default=None, repr=False)
+    """Node values ``S`` of an upward pass, rows as in ``sched``."""
+
+    sched: _Schedule
+    S: Array
+
+    @property
+    def values(self) -> Mapping:
+        return _Column(self.sched.node_rows, self.S)
 
     def root_value(self, circuit: SpnCircuit) -> float:
         return self.values[circuit.root]
@@ -555,10 +548,27 @@ class ValueMap:
 
 @dataclass(frozen=True, eq=False)
 class AdjointMap:
-    values: dict
-    edges: dict  # (parent id, child position) -> edge adjoint
-    # (schedule, node array, edge array) when the map came from a pass
-    _arrays: tuple | None = field(default=None, repr=False)
+    """Node adjoints ``D`` and edge adjoints ``E`` of a downward pass."""
+
+    sched: _Schedule
+    D: Array
+    E: Array
+
+    @property
+    def values(self) -> Mapping:
+        return _Column(self.sched.node_rows, self.D)
+
+    @property
+    def edges(self) -> Mapping:
+        return _Column(self.sched.edge_rows, self.E)
+
+
+def _schedule_for(circuit: SpnCircuit, *maps) -> _Schedule:
+    """The circuit's schedule, once every pass result is known to use it."""
+    sched = circuit._schedule
+    if any(m.sched is not sched for m in maps):
+        raise ValidationError("pass result was computed on another circuit")
+    return sched
 
 
 def upward_pass(
@@ -581,10 +591,11 @@ def upward_pass(
     S = sched.up(_evidence_column(circuit, e))
     if S[sched.root, 0] <= 0.0 and not allow_zero_root:
         raise ValidationError("evidence has empty support: root value is zero")
-    return ValueMap(sched.node_dict(S), (sched, S))
+    S.flags.writeable = False
+    return ValueMap(sched, S)
 
 
-def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> dict:
+def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> Mapping:
     """Log-domain twin of the upward pass (-inf encodes exact zeros)."""
     if check:
         require_valid(circuit)
@@ -593,15 +604,16 @@ def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> 
     L = sched.up_log(_evidence_column(circuit, e))
     if L[sched.root, 0] == -math.inf:
         raise ValidationError("evidence has empty support: root value is zero")
-    return sched.node_dict(L)
+    return _Column(sched.node_rows, L)
 
 
 def downward_pass(circuit: SpnCircuit, S: ValueMap) -> AdjointMap:
     """Reverse sweep: D(root)=1, sums push D*w, products push D times the
     product of the sibling values; per-edge contributions are retained."""
-    sched = circuit._schedule
-    D, E = sched.down(_value_array(circuit, S))
-    return AdjointMap(sched.node_dict(D), sched.edge_dict(E), (sched, D, E))
+    sched = _schedule_for(circuit, S)
+    D, E = sched.down(S.S)
+    D.flags.writeable = E.flags.writeable = False
+    return AdjointMap(sched, D, E)
 
 
 # Cells (nodes x columns) per batched pass; bounds the memory of one chunk.
@@ -643,11 +655,9 @@ def _split(sched: _Schedule, column: Array) -> list:
 
 def marginal_arrays(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap) -> dict:
     """Full-alphabet per-variable marginal vectors (zeros kept in place)."""
-    sched = circuit._schedule
-    Sa = _value_array(circuit, S)
-    Da, _ = _adjoint_arrays(circuit, D)
+    sched = _schedule_for(circuit, S, D)
     X = _evidence_column(circuit, e)
-    M = (X * sched.lam_adjoints(Da) / Sa[sched.root])[:, 0]
+    M = (X * sched.lam_adjoints(D.D) / S.S[sched.root])[:, 0]
     return dict(zip(sched.variables, _split(sched, M)))
 
 
@@ -671,20 +681,17 @@ def variable_marginals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: Adjoint
 
 def euler_residuals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap) -> dict:
     """Relative residual of sum_t lambda_{i,t} dS/dlambda_{i,t} = S(e)."""
-    sched = circuit._schedule
-    Sa = _value_array(circuit, S)
-    Da, _ = _adjoint_arrays(circuit, D)
+    sched = _schedule_for(circuit, S, D)
     X = _evidence_column(circuit, e)
-    root = Sa[sched.root, 0]
-    totals = np.add.reduceat((X * sched.lam_adjoints(Da))[:, 0], sched.offsets[:-1])
+    root = S.S[sched.root, 0]
+    totals = np.add.reduceat((X * sched.lam_adjoints(D.D))[:, 0], sched.offsets[:-1])
     return dict(zip(sched.variables, (np.abs(totals - root) / abs(root)).tolist()))
 
 
 def gate_report(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     """Per-sum gate posteriors: local b_s, visit probability pi, global gate."""
-    sched = circuit._schedule
-    Sa = _value_array(circuit, S)
-    Da, _ = _adjoint_arrays(circuit, D)
+    sched = _schedule_for(circuit, S, D)
+    Sa, Da = S.S, D.D
     root = Sa[sched.root, 0]
     per_group = {}
     for gi in sched.sum_groups:
@@ -717,9 +724,8 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     each product-edge multiplier must equal its retained edge adjoint over
     S(e).
     """
-    sched = circuit._schedule
-    Sa = _value_array(circuit, S)
-    Da, Ea = _adjoint_arrays(circuit, D)
+    sched = _schedule_for(circuit, S, D)
+    Sa, Da, Ea = S.S, D.D, D.E
     root = Sa[sched.root, 0]
     Ds, Ss = Da[sched.sum_rows, 0], Sa[sched.sum_rows, 0]
     pi = Ds * Ss / root

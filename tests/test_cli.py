@@ -107,6 +107,17 @@ def files(tmp_path_factory):
             "output": "y",
         },
     )
+    pow0 = save(
+        "pow0.json",
+        {
+            "schema": "v1",
+            "nodes": [
+                {"id": "x", "op": "input", "inputs": []},
+                {"id": "y", "op": "pow", "inputs": ["x"], "value": 0.0},
+            ],
+            "output": "y",
+        },
+    )
     joint = save(
         "joint.json",
         {
@@ -151,6 +162,7 @@ def files(tmp_path_factory):
         "logistic": logistic,
         "exp": exp,
         "div": div,
+        "pow0": pow0,
         "joint": joint,
         "copies": copies,
         "coin": coin,
@@ -365,6 +377,13 @@ class TestDagCommands:
             "--factor", "exp:1", "--at=a=1,b=1e-200",
         )
         assert code == 3 and rep is None
+        # d(x**0)/dx is 0, also at x = 0
+        code, rep = run_cli(
+            capsys, "dag", "adjoints", "--graph", files["pow0"],
+            "--factor", "exp:1", "--at=x=0",
+        )
+        assert code == 0
+        assert rep["outputs"]["adjoints"]["x"] == 0.0
 
     def test_gauge_slope_invariant(self, capsys, files):
         code, rep = run_cli(

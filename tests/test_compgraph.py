@@ -263,9 +263,14 @@ def test_every_primitive_partial_matches_central_difference():
     trace = forward_eval(g, {"a": 1.0, "b": 1e-200})
     with pytest.raises(ValidationError, match="node 'b': adjoint overflowed"):
         backward_adjoints(g, trace, ExpScale(1.0))
-    # a partial that Python cannot evaluate is reported the same way
+    # x**0 is constant, so its partial is 0 even at x = 0
     g = CompGraph([CompNode("x", "input"), CompNode("y", "pow", ("x",), 0.0)], "y")
     trace = forward_eval(g, {"x": 0.0})
+    assert backward_adjoints(g, trace, ExpScale(1.0))["x"] == 0.0
+    assert reference_gradient(g, {"x": 0.0}, 1.0)["x"] == 0.0
+    # a partial that overflows is reported with the node that raised it
+    g = CompGraph([CompNode("x", "input"), CompNode("y", "pow", ("x",), -1.5)], "y")
+    trace = forward_eval(g, {"x": 1e-200})
     with pytest.raises(ValidationError, match="node 'y': pow partial failed"):
         backward_adjoints(g, trace, ExpScale(1.0))
 

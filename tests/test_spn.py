@@ -201,6 +201,32 @@ class TestEvidence:
         with pytest.raises(ValidationError, match="empty support"):
             Evidence({"X": [0.0, 0.0]})
 
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ({"A": [1.0], "B": [[1.0]], "C": [-1.0]}, "'B' must be a 1-d vector"),
+            ({"A": [1.0], "B": [], "C": [-1.0]}, "'B' must be a 1-d vector"),
+            ({"A": [0.0, 0.0], "B": 1.0}, "'A' has empty support"),
+            ({"A": [1.0], "B": [-1.0, 0.0], "C": [0.0]}, "'B' must be finite and nonnegative"),
+            ({"A": [1.0], "B": [np.nan, 1.0]}, "'B' must be finite and nonnegative"),
+            ({"A": [1.0], "B": [0.0], "C": [np.inf]}, "'B' has empty support"),
+        ],
+    )
+    def test_first_failing_variable_and_check_are_named(self, lam, message):
+        with pytest.raises(ValidationError, match=message):
+            Evidence(lam)
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        base = np.array([0.2, 0.8, 0.5, 0.5])
+        e = Evidence({"X": base[:2], "Y": base[2:]})
+        base[:] = 0.0
+        np.testing.assert_array_equal(e.lam["X"], [0.2, 0.8])
+        np.testing.assert_array_equal(e.lam["Y"], [0.5, 0.5])
+        assert base.flags.writeable
+        with pytest.raises(ValueError):
+            e.lam["X"][0] = 1.0
+        assert Evidence({}).lam == {}
+
     def test_soft_flag(self):
         assert Evidence({"X": [0.2, 0.3]}).is_soft()
         assert not Evidence({"X": [1.0, 0.0]}).is_soft()
@@ -222,6 +248,10 @@ class TestPasses:
         assert S.values["P1"] == 1.0
         assert S.values["P2"] == pytest.approx(0.4, abs=1e-15)
         assert S.values["r"] == pytest.approx(0.76, abs=1e-15)
+        with pytest.raises(TypeError):
+            S.values["r"] = 1.0
+        with pytest.raises(ValueError):
+            S.S[0] = 1.0
 
     def test_downward_values(self):
         _, D = run_passes(two_component_circuit(), soft_evidence())
@@ -229,6 +259,10 @@ class TestPasses:
         assert D.values["P2"] == pytest.approx(0.4, abs=1e-15)
         assert D.values["ly1"] == pytest.approx(0.2, abs=1e-15)
         assert D.values["r"] == 1.0
+        with pytest.raises(TypeError):
+            D.values["r"] = 0.0
+        with pytest.raises(TypeError):
+            D.edges["r", 0] = 0.0
 
     def test_all_ones_evidence_gives_partition(self):
         c = two_component_circuit()
@@ -254,6 +288,8 @@ class TestPasses:
         e = Evidence({"X": [1.0, 0.0], "Y": [1.0, 1.0]})
         logs = upward_pass_log(c, e)
         assert logs["P2"] == -np.inf
+        with pytest.raises(TypeError):
+            logs["P2"] = 0.0
         assert np.exp(logs["r"]) == pytest.approx(0.6, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -419,10 +455,10 @@ class TestGatesAndMultipliers:
     def test_identity_check_catches_corruption(self):
         c = two_component_circuit()
         S, D = run_passes(c, soft_evidence())
-        bad_edges = dict(D.edges)
-        bad_edges[("P1", 0)] *= 2.0
+        bad_edges = D.E.copy()
+        bad_edges[D.sched.edge_rows["P1", 0]] *= 2.0
         with pytest.raises(ValidationError, match="edge-multiplier"):
-            kkt_multipliers(c, S, AdjointMap(D.values, bad_edges))
+            kkt_multipliers(c, S, AdjointMap(D.sched, D.D, bad_edges))
 
 
 class TestUnroll:
@@ -468,9 +504,21 @@ class TestJson:
         blob = json.dumps(circuit_to_json(c))
         c2 = circuit_from_json(json.loads(blob))
         assert [n.id for n in c2.nodes] == [n.id for n in c.nodes]
-        S1, D1 = run_passes(c, soft_evidence())
-        S2, D2 = run_passes(c2, soft_evidence())
+        e = soft_evidence()
+        S1, D1 = run_passes(c, e)
+        S2, D2 = run_passes(c2, e)
         assert S1.root_value(c) == S2.root_value(c2)
+        # same node ids, another circuit: its pass results are refused
+        other = "pass result was computed on another circuit"
+        with pytest.raises(ValidationError, match=other):
+            downward_pass(c2, S1)
+        for S, D in ((S1, D2), (S2, D1)):
+            for readout in (marginal_arrays, euler_residuals, variable_marginals):
+                with pytest.raises(ValidationError, match=other):
+                    readout(c2, e, S, D)
+            for readout in (gate_report, kkt_multipliers):
+                with pytest.raises(ValidationError, match=other):
+                    readout(c2, S, D)
 
     def test_evidence_roundtrip(self):
         e = soft_evidence()
@@ -555,6 +603,7 @@ class TestCompiledPasses:
             ref_D, ref_edges = oracle._reference_downward(c, ref_S)
             _assert_rel(S.values, ref_S, 1e-13, "S")
             _assert_rel(D.values, ref_D, 1e-13, "D")
+            assert list(S.values) == list(D.values) == c.topo()
             _assert_rel(D.edges, ref_edges, 1e-13, "edges")
             root = ref_S[c.root]
             if root == 0.0:
@@ -564,7 +613,9 @@ class TestCompiledPasses:
             arrays = marginal_arrays(c, e, S, D)
             for v in c.variable_order():
                 ref = [
-                    e.lam[v][t] * sum(ref_D[leaf] for leaf in c.leaves_for(v, t)) / root
+                    e.lam[v][t]
+                    * sum(ref_D[n.id] for n in c.nodes if (n.var, n.state) == (v, t))
+                    / root
                     for t in range(c.cardinality(v))
                 ]
                 _assert_rel(dict(enumerate(arrays[v])), dict(enumerate(ref)), 1e-13, v)
@@ -584,6 +635,8 @@ class TestCompiledPasses:
         rng = np.random.default_rng(5)
         for c, e in cases:
             sched = c._schedule
+            node_rows = list(sched.node_rows.values())
+            edge_rows = list(sched.edge_rows.values())
             queries = [e] + [
                 Evidence({v: rng.uniform(0.0, 1.0, c.cardinality(v)) for v in c.variable_order()})
                 for _ in range(4)
@@ -600,13 +653,13 @@ class TestCompiledPasses:
                 single = np.concatenate(list(marginal_arrays(c, q, S, D).values()))
                 np.testing.assert_allclose(M_all[:, col], single, rtol=1e-14, atol=0)
                 np.testing.assert_allclose(
-                    S_all[sched.topo_rows, col], list(S.values.values()), rtol=1e-14, atol=0
+                    S_all[node_rows, col], list(S.values.values()), rtol=1e-14, atol=0
                 )
                 np.testing.assert_allclose(
-                    D_all[sched.topo_rows, col], list(D.values.values()), rtol=1e-14, atol=0
+                    D_all[node_rows, col], list(D.values.values()), rtol=1e-14, atol=0
                 )
                 np.testing.assert_allclose(
-                    E_all[sched.edge_rows, col], list(D.edges.values()), rtol=1e-14, atol=0
+                    E_all[edge_rows, col], list(D.edges.values()), rtol=1e-14, atol=0
                 )
 
     def test_batch_rejects_bad_columns(self):
