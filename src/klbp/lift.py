@@ -45,7 +45,6 @@ from .simplex import (
 
 Array = np.ndarray
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _OUTCOME_LIMIT = 10_000  # attach explicit labels only to small joints
 
 
@@ -55,8 +54,10 @@ class ReplicatedSpace:
 
     ``axes`` lists the replica axes as (factor id, variable id) pairs in
     factor order; ``factor_blocks`` partitions them by factor;
-    ``var_groups`` ties together all replicas of one variable.  The
-    identified grid has one axis per variable, ordered as ``ident_vars``.
+    ``var_groups`` ties together all replicas of one variable.  These are
+    the graph's compiled edge layout: axis e is edge e of ``fg.edges()``.
+    The identified grid has one axis per variable that some factor
+    touches, ordered as ``ident_vars``.
     """
 
     fg: FactorGraph
@@ -88,42 +89,28 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
     lifted joint within the desk-scale entry budget.
     """
     require_positive_tables(fg)
-    axes: list[tuple[str, str]] = []
-    sizes: list[int] = []
-    factor_blocks: list[tuple[int, ...]] = []
-    for fac in fg.factors:
-        block = []
-        for v in fac.vars:
-            block.append(len(axes))
-            axes.append((fac.id, v))
-            sizes.append(fg.cardinality(v))
-        factor_blocks.append(tuple(block))
-    if not axes:
+    lay = fg._layout
+    if not lay.edges:
         raise ValidationError("cannot lift a factor graph with no factors")
+    sizes = tuple(lay.edge_cards)
     n_entries = math.prod(sizes)
     budgets.check_joint_entries(n_entries, what="replica lift")
-    ident_vars = tuple(
-        v.id for v in fg.variables if any(a[1] == v.id for a in axes)
-    )
-    if len(ident_vars) > len(_LETTERS):
-        raise ValidationError("lift limited to 26 distinct variables")
-    var_groups = tuple(
-        tuple(i for i, a in enumerate(axes) if a[1] == vid) for vid in ident_vars
-    )
-    ident_sizes = tuple(fg.cardinality(vid) for vid in ident_vars)
+    ident = [i for i, v in enumerate(fg.variables) if fg.neighbors(v.id)]
+    ident_vars = tuple(fg.variables[i].id for i in ident)
+    ident_sizes = tuple(fg.variables[i].cardinality for i in ident)
 
     table = np.ones(())
     for fac in fg.factors:
         table = np.multiply.outer(table, fac.table / fac.table.sum())
     flat = table.reshape(-1)
-    outcomes = joint_outcomes(tuple(sizes)) if n_entries <= _OUTCOME_LIMIT else None
+    outcomes = joint_outcomes(sizes) if n_entries <= _OUTCOME_LIMIT else None
     q_init = DistVec(flat, outcomes)
     return ReplicatedSpace(
         fg,
-        tuple(axes),
-        tuple(sizes),
-        tuple(factor_blocks),
-        var_groups,
+        tuple(lay.edges),
+        sizes,
+        tuple(map(tuple, lay.around[lay.n_vars :])),
+        tuple(tuple(lay.around[i]) for i in ident),
         ident_vars,
         ident_sizes,
         q_init,
@@ -133,21 +120,16 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
 # ------------------------------------------------------------ restriction
 
 
-def _axis_letters(space: ReplicatedSpace) -> tuple[str, str]:
-    """Einsum subscripts mapping replica axes onto identified axes."""
-    letter_of = {}
-    for i, vid in enumerate(space.ident_vars):
-        letter_of[vid] = _LETTERS[i]
-    inp = "".join(letter_of[vid] for _, vid in space.axes)
-    out = "".join(_LETTERS[: len(space.ident_vars)])
-    return inp, out
-
-
 def diagonal_restrict(space: ReplicatedSpace, values: Array) -> Array:
     """Gather a lifted array at the consensus diagonal (any values, raw)."""
     arr = np.asarray(values, dtype=float).reshape(space.sizes)
-    inp, out = _axis_letters(space)
-    return np.einsum(inp + "->" + out, arr).reshape(-1)
+    label = {axis: k for k, group in enumerate(space.var_groups) for axis in group}
+    diag = np.einsum(arr, [label[a] for a in range(arr.ndim)], list(range(len(space.var_groups))))
+    return diag.reshape(-1)
+
+
+def _ident_outcomes(space: ReplicatedSpace) -> tuple | None:
+    return joint_outcomes(space.ident_sizes) if space.ident_size <= _OUTCOME_LIMIT else None
 
 
 def consensus_project(space: ReplicatedSpace, q: DistVec) -> DistVec:
@@ -163,12 +145,7 @@ def consensus_project(space: ReplicatedSpace, q: DistVec) -> DistVec:
     diag = diagonal_restrict(space, q.probs)
     if diag.sum() <= 0.0:
         raise ValidationError("consensus diagonal carries zero mass")
-    outcomes = (
-        joint_outcomes(space.ident_sizes)
-        if space.ident_size <= _OUTCOME_LIMIT
-        else None
-    )
-    return DistVec(diag / diag.sum(), outcomes)
+    return DistVec(diag / diag.sum(), _ident_outcomes(space))
 
 
 def t_proj(space: ReplicatedSpace, q: DistVec) -> DistVec:
@@ -193,12 +170,7 @@ def extract_joint(space: ReplicatedSpace, beliefs: dict) -> DistVec:
     for vid in space.ident_vars:
         b = np.asarray(beliefs[vid], dtype=float)
         full = np.multiply.outer(full, b / b.sum())
-    outcomes = (
-        joint_outcomes(space.ident_sizes)
-        if space.ident_size <= _OUTCOME_LIMIT
-        else None
-    )
-    return DistVec(full.reshape(-1), outcomes)
+    return DistVec(full.reshape(-1), _ident_outcomes(space))
 
 
 # -------------------------------------------------------- hybrid scheme
@@ -295,13 +267,11 @@ def _fit_product(
         grad = np.empty(dim)
         at = 0
         for axis in range(n_axes):
-            operands = [djdr]
-            subs = ["".join(_LETTERS[:n_axes])]
+            operands = [djdr, list(range(n_axes))]
             for b in range(n_axes):
                 if b != axis:
-                    operands.append(parts[b])
-                    subs.append(_LETTERS[b])
-            h = np.einsum(",".join(subs) + "->" + _LETTERS[axis], *operands)
+                    operands += (parts[b], [b])
+            h = np.einsum(*operands, [axis])
             p = parts[axis]
             grad[at: at + sizes[axis]] = p * (h - float(p @ h))
             at += sizes[axis]

@@ -88,11 +88,6 @@ class DistVec:
     def __len__(self) -> int:
         return self.probs.size
 
-    def labels(self) -> tuple:
-        if self.outcomes is not None:
-            return self.outcomes
-        return tuple(range(len(self)))
-
     @staticmethod
     def from_weights(weights, outcomes=None) -> "DistVec":
         """Normalize an arbitrary strictly positive weight vector."""
@@ -293,17 +288,13 @@ def m_project_blocks(
     covered = [a for b in blocks for a in b]
     if sorted(covered) != list(range(n_axes)):
         raise ValidationError("blocks must partition the joint axes")
-    letters = [chr(ord("a") + i) for i in range(n_axes)]
-    full = "".join(letters)
-    pieces = []
-    subs = []
+    operands = []
     for block in blocks:
         other = tuple(a for a in range(n_axes) if a not in block)
         marg = arr.sum(axis=other) if other else arr
         # marginal axes appear in ascending original order
-        pieces.append(marg)
-        subs.append("".join(letters[a] for a in sorted(block)))
-    out = np.einsum(",".join(subs) + "->" + full, *pieces)
+        operands += (marg, sorted(block))
+    out = np.einsum(*operands, list(range(n_axes)))
     flat = out.reshape(-1)
     return flat / flat.sum()
 

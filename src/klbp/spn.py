@@ -287,9 +287,10 @@ class Evidence:
         flat.flags.writeable = False
         cuts = bounds.tolist()
         object.__setattr__(self, "lam", {v: flat[a:b] for v, a, b in zip(names, cuts, cuts[1:])})
+        object.__setattr__(self, "_flat", flat)
 
     def is_soft(self) -> bool:
-        return all(np.all(arr > 0.0) for arr in self.lam.values())
+        return bool(np.all(self._flat > 0.0))
 
 
 def all_ones_evidence(circuit: SpnCircuit) -> Evidence:
@@ -505,7 +506,7 @@ def _padded(lists: list, pad, width: int | None = None) -> Array:
 
 def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
     sched = circuit._schedule
-    arrays = [e.lam[v] for v in sched.variables]
+    arrays = [e.lam.get(v, ()) for v in sched.variables]
     if list(map(len, arrays)) != sched.cards:
         check_evidence(circuit, e)
     return np.concatenate(arrays)[:, None]

@@ -171,7 +171,6 @@ def scope_tables(circuit: SpnCircuit, e: Evidence) -> dict:
     unnormalized evidence-conditional joint.
     """
     tables: dict[str, np.ndarray] = {}
-    axes: dict[str, tuple] = {}
     for nid in circuit.topo():
         n = circuit.node(nid)
         vars_ = _scope_vars(circuit, nid)
@@ -185,20 +184,16 @@ def scope_tables(circuit: SpnCircuit, e: Evidence) -> dict:
             t[n.state] = e.lam[n.var][n.state]
             tables[nid] = t
         elif n.kind == "product":
-            letters = {v: chr(ord("a") + i) for i, v in enumerate(vars_)}
-            spec = ",".join(
-                "".join(letters[v] for v in axes[c]) for c in n.children
-            )
-            out = "".join(letters[v] for v in vars_)
-            tables[nid] = np.einsum(
-                f"{spec}->{out}", *[tables[c] for c in n.children]
-            )
+            axis = {v: i for i, v in enumerate(vars_)}
+            operands = []
+            for c in n.children:
+                operands += (tables[c], [axis[v] for v in _scope_vars(circuit, c)])
+            tables[nid] = np.einsum(*operands, list(range(len(vars_))))
         else:
             acc = np.zeros([circuit.cardinality(v) for v in vars_])
             for c, w in zip(n.children, n.weights):
                 acc += w * tables[c]
             tables[nid] = acc
-        axes[nid] = vars_
     return tables
 
 
@@ -282,15 +277,12 @@ def region_two_step(circuit: SpnCircuit, e: Evidence) -> RegionFamily:
     for nid in sorted(n.id for n in circuit.nodes if n.kind == "product"):
         n = circuit.node(nid)
         scope = _scope_vars(circuit, nid)
-        letters = {v: chr(ord("a") + i) for i, v in enumerate(scope)}
-        spec = []
-        mats = []
+        axis = {v: i for i, v in enumerate(scope)}
+        operands = []
         for c in n.children:
             cvars = _scope_vars(circuit, c)
-            spec.append("".join(letters[v] for v in cvars))
-            mats.append(tables[cvars])
-        out = "".join(letters[v] for v in scope)
-        tables[scope] = np.einsum(f"{','.join(spec)}->{out}", *mats)
+            operands += (tables[cvars], [axis[v] for v in cvars])
+        tables[scope] = np.einsum(*operands, list(range(len(scope))))
 
     var_marginals = {}
     for v in circuit.variable_order():

@@ -17,6 +17,7 @@ from klbp.factorgraph import (
     validate_fg,
 )
 from klbp.oracle import enumerate_fg_marginals
+from perfbench import builders
 
 
 def chain_graph(rng, n_vars=4, card=3):
@@ -148,6 +149,49 @@ def test_isolated_variable_is_uniform():
     )
     beliefs = bp_beliefs(fg, bp_run_tree(fg))
     np.testing.assert_allclose(beliefs["lonely"], np.full(4, 0.25), atol=1e-15)
+
+
+def star_marginals_in_logs(fg):
+    """Closed-form marginals of a star whose factors are (centre, leaf) tables."""
+    tables = np.stack([f.table for f in fg.factors])  # (leaves, centre, leaf)
+    to_centre = np.log(tables.sum(axis=2))
+    total = to_centre.sum(axis=0)
+    centre = np.exp(total - total.max())
+    others = total - to_centre
+    weights = np.exp(others - others.max(axis=1, keepdims=True))
+    leaves = np.einsum("lc,lcx->lx", weights, tables)
+    out = {fg.variables[0].id: centre / centre.sum()}
+    for f, leaf in zip(fg.factors, leaves):
+        out[f.vars[1]] = leaf / leaf.sum()
+    return out
+
+
+def test_bp_on_a_1600_leaf_star_does_not_underflow():
+    fg = FactorGraph(*builders.star(0, 1600))
+    exact = star_marginals_in_logs(fg)
+    assert exact["c"].min() > 1e-3  # no state of the centre is negligible
+    for state in (bp_run_tree(fg), bp_run(fg).state):
+        beliefs = bp_beliefs(fg, state)
+        assert beliefs.keys() == exact.keys()
+        for vid in exact:
+            np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
+
+
+def test_tree_bp_through_a_30_ary_factor():
+    rng = np.random.default_rng(1000)
+    cards = [1] * 28 + [2, 3]
+    variables = [Variable(f"w{i:02d}", c) for i, c in enumerate(cards)]
+    variables.append(Variable("t", 2))
+    factors = [
+        Factor("wide", tuple(f"w{i:02d}" for i in range(30)), rng.uniform(0.2, 1.0, size=cards)),
+        Factor("u28", ("w28",), rng.uniform(0.2, 1.0, size=2)),
+        Factor("pair", ("w29", "t"), rng.uniform(0.2, 1.0, size=(3, 2))),
+    ]
+    fg = FactorGraph(variables, factors)
+    beliefs = bp_beliefs(fg, bp_run_tree(fg))
+    exact = enumerate_fg_marginals(fg)
+    for vid in exact:
+        np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
 
 
 # ------------------------------------------------------------- loopy BP

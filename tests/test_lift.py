@@ -202,6 +202,30 @@ def test_one_iteration_matches_tree_bp_and_enumeration():
             np.testing.assert_allclose(scheme[vid], exact[vid], atol=1e-10)
 
 
+def test_entropy_scheme_on_a_forest_of_30_variables():
+    # binary chain v00-v04 with five one-state variables hung off it, and
+    # twenty isolated one-state variables with their own unary factors
+    rng = np.random.default_rng(77)
+    variables = [Variable(f"v{i:02d}", 2 if i < 5 else 1) for i in range(30)]
+    factors = [Factor("root", ("v00",), rng.uniform(0.3, 1.0, size=2))]
+    for i in range(1, 10):
+        other, shape = (i - 1, (2, 2)) if i < 5 else (i - 5, (2, 1))
+        pair = (f"v{other:02d}", f"v{i:02d}")
+        factors.append(Factor(f"p{i}", pair, rng.uniform(0.3, 1.0, size=shape)))
+    for i in range(10, 30):
+        factors.append(Factor(f"u{i}", (f"v{i:02d}",), rng.uniform(0.3, 1.0, size=1)))
+    fg = FactorGraph(variables, factors)
+    assert fg.is_forest()
+    space = replicate_lift(fg)
+    assert len(space.ident_vars) == 30
+    run = wr_run(space, ENTROPY)
+    assert run.converged
+    beliefs = wr_beliefs(space, run.state)
+    exact = enumerate_fg_marginals(fg)
+    for vid in exact:
+        np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-10)
+
+
 def test_extra_iterations_freeze_beliefs():
     rng = np.random.default_rng(60)
     fg = random_tree(rng, 5)

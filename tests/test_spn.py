@@ -241,6 +241,12 @@ class TestEvidence:
         with pytest.raises(ValidationError, match="missing"):
             upward_pass(c, Evidence({"X": [1.0, 1.0]}))
 
+    @pytest.mark.parametrize("run", [upward_pass, upward_pass_log])
+    def test_missing_variable_without_checks(self, run):
+        c = two_component_circuit()
+        with pytest.raises(ValidationError, match="evidence missing variable 'Y'"):
+            run(c, Evidence({"X": [1.0, 1.0]}), check=False)
+
 
 class TestPasses:
     def test_upward_values(self):
