@@ -10,13 +10,28 @@ A graph is compiled once, on first use, into an edge layout shared by every
 pass and by the replica lift (``klbp.lift``).  Edge e is the e-th pair of
 ``edges()``, so each factor owns a contiguous block of edges, and a message
 state is two flat arrays (one per direction) in which edge e owns one slot
-per state of its variable.  A factor-to-variable message is one einsum in
-numpy's sublist form (numbered axes, no letters).  Variables are grouped by
-(degree, cardinality) into index matrices of their incoming slots; a
-group's outgoing messages are one prefix and one suffix sum of
-log-messages, O(degree) per variable, exact on hard zeros and free of
-underflow.  One depth-first walk gives the component count, the forest test
-and the two-pass order.
+per state of its variable.  The parts only belief propagation reads are
+compiled on its first call, so the lift never builds them:
+
+- factor groups: the factors of one table shape, their tables stacked on a
+  batch axis and, per position, a matrix of their message slots.  One
+  kernel sends a group's messages: per position, one einsum in numpy's
+  sublist form (numbered axes, no letters) over the stacked tables and the
+  gathered incoming messages.  The batch shares its axis number with the
+  first cardinality-1 axis when there is one, so a factor may use all 52
+  axis numbers numpy allows; a wider factor is a ValidationError.
+- variable groups: the variables of one (degree, cardinality), as index
+  matrices of their incoming slots; a group's outgoing messages are one
+  prefix and one suffix sum of log-messages, O(degree) per variable, exact
+  on hard zeros and free of underflow.
+- levels: the two-pass schedule for forests.  The senders of one depth and
+  one group key form a group of their own, so the upward pass is one step
+  per level, deepest first, and the downward pass the same steps,
+  shallowest first.  One depth-first walk gives the depths, the component
+  count and the forest test.
+
+The flooding sweep and the two-pass schedule run the same two kernels,
+one per group kind.
 """
 
 from __future__ import annotations
@@ -124,51 +139,38 @@ class FactorGraph:
         return self._layout.forest
 
 
+# numpy numbers the axes of a sublist einsum 0..51
+_EINSUM_AXES = 52
+
+
 class _Layout:
     """The compiled edge layout of one factor graph (see the module docstring).
 
     Edge e owns slots ``off[e]:off[e + 1]`` of a message array, variable i
     slots ``var_off[i]:var_off[i + 1]`` of a belief array.  Nodes are
-    variables, then factors; ``around[n]`` lists node n's edges in order.  A
-    group is the message slots of its variables' edges (n, degree, card) and
-    their belief slots (n, card).  ``order`` is the depth-first preorder of
-    each component from its smallest variable id, as (node, parent edge or
-    -1) pairs.
+    variables, then factors; ``around[n]`` lists node n's edges in order.
+    ``order`` is the depth-first preorder of each component from its
+    smallest variable id, as (node, parent edge or -1) pairs.
     """
 
     def __init__(self, fg: FactorGraph):
+        self.factors = fg.factors
         self.index = {v.id: i for i, v in enumerate(fg.variables)}
-        cards = [v.cardinality for v in fg.variables]
-        self.n_vars = len(cards)
+        self.cards = [v.cardinality for v in fg.variables]
+        self.n_vars = len(self.cards)
         self.edges = fg.edges()
         self.edge_var = [self.index[vid] for _, vid in self.edges]
         self.factor_node = [self.n_vars + j for j, f in enumerate(fg.factors) for _ in f.vars]
-        self.edge_cards = [cards[i] for i in self.edge_var]
+        self.edge_cards = [self.cards[i] for i in self.edge_var]
         off = [0, *itertools.accumulate(self.edge_cards)]
-        var_off = [0, *itertools.accumulate(cards)]
+        var_off = [0, *itertools.accumulate(self.cards)]
         self.off, self.var_off = np.array(off), np.array(var_off)
-        self.slices = [slice(a, b) for a, b in zip(off, off[1:])]
         self.var_slices = [slice(a, b) for a, b in zip(var_off, var_off[1:])]
-        # each factor's table and axis numbers, as einsum operands
-        self.tables = [(f.table, list(range(len(f.vars)))) for f in fg.factors]
-        self.around: list = [[] for _ in cards]
+        self.around: list = [[] for _ in self.cards]
         for e, i in enumerate(self.edge_var):
             self.around[i].append(e)
         blocks = [0, *itertools.accumulate(len(f.vars) for f in fg.factors)]
         self.around += map(range, blocks, blocks[1:])
-
-        members: dict[tuple[int, int], list[int]] = {}
-        for i in range(self.n_vars):
-            members.setdefault((len(self.around[i]), cards[i]), []).append(i)
-        self.groups: list[tuple[Array, Array]] = []
-        self.slots: list = [None] * self.n_vars  # each variable's row of its group's slots
-        for (_, card), vs in members.items():
-            states = np.arange(card)
-            edges = np.array([self.around[i] for i in vs], dtype=np.intp)
-            slots = self.off[edges][..., None] + states
-            self.groups.append((slots, self.var_off[vs][:, None] + states))
-            for row, i in enumerate(vs):
-                self.slots[i] = slots[row : row + 1]
 
         seen = [False] * len(self.around)
         self.order: list[tuple[int, int]] = []
@@ -188,6 +190,81 @@ class _Layout:
                         seen[nxt] = True
                         stack.append((nxt, e))
         self.forest = len(self.edges) == len(seen) - self.n_components
+
+    @cached_property
+    def var_groups(self) -> list["_VarGroup"]:
+        """The variables grouped by (degree, cardinality)."""
+        members: dict[tuple[int, int], list[int]] = {}
+        for i in range(self.n_vars):
+            members.setdefault(self._var_key(i), []).append(i)
+        return [self._var_group(vs) for vs in members.values()]
+
+    @cached_property
+    def factor_groups(self) -> list["_FactorGroup"]:
+        """The factors grouped by table shape."""
+        members: dict[tuple[int, ...], list[int]] = {}
+        for j, f in enumerate(self.factors):
+            members.setdefault(f.table.shape, []).append(j)
+        return [self._factor_group(js) for js in members.values()]
+
+    @cached_property
+    def tree_steps(self) -> list["_VarGroup | _FactorGroup"]:
+        """The two-pass schedule for forests, one group per (depth, group key).
+
+        Variables sit at even depths and factors at odd ones; nodes of one
+        depth never share an edge, so each group is one step.
+        The upward pass runs the depths deepest first, the downward pass
+        shallowest first from depth 1: the roots' messages are final at the
+        turn.  Variables of degree 0 or 1 send nothing, as their messages
+        are uniform already.
+        """
+        depth = [0] * len(self.around)
+        levels: dict[tuple, list[int]] = {}
+        for node, up in self.order:
+            if node < self.n_vars:
+                if up >= 0:
+                    depth[node] = depth[self.factor_node[up]] + 1
+                if len(self.around[node]) > 1:
+                    levels.setdefault((depth[node], self._var_key(node)), []).append(node)
+            else:
+                depth[node] = depth[self.edge_var[up]] + 1
+                j = node - self.n_vars
+                levels.setdefault((depth[node], self.factors[j].table.shape), []).append(j)
+        steps = [
+            (d, self._factor_group(members) if d % 2 else self._var_group(members))
+            for (d, _), members in sorted(levels.items(), key=lambda item: item[0][0])
+        ]
+        return [group for _, group in reversed(steps)] + [group for d, group in steps if d]
+
+    def _var_key(self, i: int) -> tuple[int, int]:
+        return len(self.around[i]), self.cards[i]
+
+    def _var_group(self, vs: list[int]) -> "_VarGroup":
+        states = np.arange(self.cards[vs[0]])
+        edges = np.array([self.around[i] for i in vs], dtype=np.intp)
+        return _VarGroup(self.off[edges][..., None] + states, self.var_off[vs][:, None] + states)
+
+    def _factor_group(self, js: list[int]) -> "_FactorGroup":
+        shape = self.factors[js[0]].table.shape
+        k = len(shape)
+        batch = shape.index(1) if 1 in shape else k
+        if k + (batch == k) > _EINSUM_AXES:
+            raise ValidationError(
+                f"factor {self.factors[js[0]].id!r} has {k} variables; belief "
+                f"propagation numbers at most {_EINSUM_AXES} einsum axes"
+            )
+        tables = np.array([self.factors[j].table for j in js])
+        first = [self.around[self.n_vars + j].start for j in js]
+        starts = self.off[np.add.outer(first, range(k))]
+        return _FactorGroup(
+            tables.reshape(len(js), *shape[:batch], *shape[batch + 1 :]),
+            [batch, *(q for q in range(k) if q != batch)],
+            [
+                starts[:, p] if p == batch else starts[:, p, None] + np.arange(shape[p])
+                for p in range(k)
+            ],
+            [[batch] if q == batch else [batch, q] for q in range(k)],
+        )
 
 
 def validate_fg(fg: FactorGraph) -> dict:
@@ -259,33 +336,52 @@ def uniform_messages(fg: FactorGraph) -> MessageState:
     return MessageState(flat, flat.copy())
 
 
-def _factor_messages(lay: _Layout, node: int, edges, to_factor: Array, to_var: Array) -> None:
-    """Unnormalized messages from a factor node along some of its own edges."""
-    table, axes = lay.tables[node - lay.n_vars]
-    block = lay.around[node]
-    incoming = [to_factor[lay.slices[e]] for e in block]
-    for e in edges:
-        p = e - block.start
-        operands = [table, axes]
-        for q, m in enumerate(incoming):
-            if q != p:
-                operands += (m, [q])
-        to_var[lay.slices[e]] = np.einsum(*operands, [p])
+@dataclass(frozen=True, eq=False)
+class _FactorGroup:
+    """Factors of one table shape: stacked tables, per-position message slots.
 
-
-def _var_messages(to_var: Array, slots: Array) -> Array:
-    """Messages from a group of variables to their factors, with largest entry 1.
-
-    Each is the product of the variable's other incoming messages: a prefix
-    plus a suffix sum of log-messages, so exact zeros stay exact and a
-    high-degree product cannot underflow.
+    The batch axis of ``tables`` and of every slot matrix shares its einsum
+    axis number with the first cardinality-1 position, if any; that
+    position's slots are then a vector.  ``table_axes`` and ``axes[p]`` are
+    the einsum axis numbers of the tables and of position p's messages.
     """
-    logs = np.log(to_var[slots])
-    others = np.zeros(logs.shape)
-    logs[:, :-1].cumsum(axis=1, out=others[:, 1:])
-    others[:, :-1] += logs[:, :0:-1].cumsum(axis=1)[:, ::-1]
-    others -= others.max(axis=2, keepdims=True)
-    return np.exp(others, out=others)
+
+    tables: Array
+    table_axes: list
+    slots: list
+    axes: list
+
+    def propagate(self, src: MessageState, dst: MessageState) -> None:
+        """Unnormalized messages from the group's factors along all their edges."""
+        incoming = [src.to_factor[s] for s in self.slots]
+        for p, out in enumerate(self.slots):
+            operands = [self.tables, self.table_axes]
+            for q, m in enumerate(incoming):
+                if q != p:
+                    operands += (m, self.axes[q])
+            dst.to_var[out] = np.einsum(*operands, self.axes[p])
+
+
+@dataclass(frozen=True, eq=False)
+class _VarGroup:
+    """Variables of one (degree, cardinality): incoming and belief slots."""
+
+    slots: Array
+    beliefs: Array
+
+    def propagate(self, src: MessageState, dst: MessageState) -> None:
+        """Messages from the group's variables to all their factors, with largest entry 1.
+
+        Each is the product of the variable's other incoming messages: a
+        prefix plus a suffix sum of log-messages, so exact zeros stay exact
+        and a high-degree product cannot underflow.
+        """
+        logs = np.log(src.to_var[self.slots])
+        others = np.zeros(logs.shape)
+        logs[:, :-1].cumsum(axis=1, out=others[:, 1:])
+        others[:, :-1] += logs[:, :0:-1].cumsum(axis=1)[:, ::-1]
+        others -= others.max(axis=2, keepdims=True)
+        dst.to_factor[self.slots] = np.exp(others, out=others)
 
 
 def _damp(lay: _Layout, old: Array, fresh: Array, damping: float) -> Array:
@@ -304,19 +400,18 @@ def bp_sweep(fg: FactorGraph, state: MessageState, *, damping: float = 0.0) -> M
     if not 0.0 <= damping < 1.0:
         raise ValidationError(f"damping must lie in [0, 1), got {damping}")
     lay = fg._layout
-    to_var = np.empty_like(state.to_var)
-    to_factor = np.empty_like(state.to_factor)
+    new = MessageState(np.empty_like(state.to_var), np.empty_like(state.to_factor))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for node in range(lay.n_vars, len(lay.around)):
-            _factor_messages(lay, node, lay.around[node], state.to_factor, to_var)
-        for slots, _ in lay.groups:
-            to_factor[slots] = _var_messages(state.to_var, slots)
-        _normalize(to_var, lay.off, _TO_VAR, lay.edges)
-        _normalize(to_factor, lay.off, _TO_FACTOR, lay.edges)
+        for group in (*lay.factor_groups, *lay.var_groups):
+            group.propagate(state, new)
+        _normalize(new.to_var, lay.off, _TO_VAR, lay.edges)
+        _normalize(new.to_factor, lay.off, _TO_FACTOR, lay.edges)
         if damping:
-            to_var = _damp(lay, state.to_var, to_var, damping)
-            to_factor = _damp(lay, state.to_factor, to_factor, damping)
-    return MessageState(to_var, to_factor)
+            new = MessageState(
+                _damp(lay, state.to_var, new.to_var, damping),
+                _damp(lay, state.to_factor, new.to_factor, damping),
+            )
+    return new
 
 
 def message_delta(a: MessageState, b: MessageState) -> float:
@@ -329,9 +424,9 @@ def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
     lay = fg._layout
     out = np.empty(lay.var_off[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for slots, beliefs in lay.groups:
-            total = np.log(state.to_var[slots]).sum(axis=1)
-            out[beliefs] = np.exp(total - total.max(axis=1, keepdims=True))
+        for group in lay.var_groups:
+            total = np.log(state.to_var[group.slots]).sum(axis=1)
+            out[group.beliefs] = np.exp(total - total.max(axis=1, keepdims=True))
         _normalize(out, lay.var_off, "belief of {0.id}", fg.variables)
     return {v.id: out[s] for v, s in zip(fg.variables, lay.var_slices)}
 
@@ -351,7 +446,14 @@ def bp_run(
     tol: float = 1e-10,
     max_sweeps: int = 10_000,
 ) -> BPResult:
-    """Iterate synchronous sweeps until the sup-norm message change <= tol."""
+    """Iterate synchronous sweeps until the sup-norm message change <= tol.
+
+    ``max_sweeps`` must be at least 1 and ``tol`` finite and nonnegative.
+    """
+    if max_sweeps < 1:
+        raise ValidationError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     state = uniform_messages(fg)
     delta = math.inf
     for sweep in range(1, max_sweeps + 1):
@@ -370,29 +472,19 @@ def bp_run_tree(fg: FactorGraph) -> MessageState:
     """Exact two-pass schedule for forests (leaves-to-root, then back).
 
     Roots each component at its smallest variable id so the schedule is
-    deterministic.  Raises if the graph has a cycle.  A sending variable
-    recomputes all its outgoing messages (any not yet final are redone on the
-    way back).  Variable messages leave the log domain with largest entry 1,
-    so messages are normalized only once, at the end.
+    deterministic.  Raises if the graph has a cycle.  The levels run deepest
+    first, then shallowest first; at each level every sender recomputes all
+    its outgoing messages, and those already final get the same inputs again.
+    Variable messages leave the log domain with largest entry 1, so messages
+    are normalized only once, at the end.
     """
     lay = fg._layout
     if not lay.forest:
         raise ValidationError("two-pass schedule requires an acyclic factor graph")
     state = uniform_messages(fg)
-
-    def send(node: int, edges) -> None:
-        if node >= lay.n_vars:
-            _factor_messages(lay, node, edges, state.to_factor, state.to_var)
-        elif edges and len(lay.around[node]) > 1:  # else the message is uniform already
-            slots = lay.slots[node]
-            state.to_factor[slots] = _var_messages(state.to_var, slots)
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        for node, up in reversed(lay.order):
-            if up >= 0:
-                send(node, (up,))
-        for node, up in lay.order:
-            send(node, [e for e in lay.around[node] if e != up])
+        for group in lay.tree_steps:
+            group.propagate(state, state)
         # contradicting factors meet at a variable, so its messages are checked first
         _normalize(state.to_factor, lay.off, _TO_FACTOR, lay.edges)
         _normalize(state.to_var, lay.off, _TO_VAR, lay.edges)

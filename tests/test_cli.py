@@ -298,20 +298,46 @@ class TestFgCommands:
         assert rep["outputs"]["schedule"] == "damped-sync"
         assert rep["checks"]["converged"]["pass"]
 
-    def test_bp_without_sweeps_reports_strict_json(self, capsys, files):
+    def test_bp_rejects_bad_sweep_caps_and_tolerances(self, capsys, files):
         from klbp import factorgraph, generators
-
-        def reject(name):
-            raise ValueError(f"non-finite constant {name}")
 
         path = files["root"] / "cycle0.json"
         path.write_text(
             json.dumps(factorgraph.fg_to_json(generators.gen_fg(5, kind="cycle")))
         )
-        assert main(["fg", "bp", "--graph", str(path), "--max-sweeps", "0"]) == 3
-        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert rep["outputs"]["delta"] == "inf"
-        assert rep["checks"]["converged"]["max_abs_error"] == "inf"
+        for flag, value, name in (
+            ("--max-sweeps", "0", "max_sweeps"),
+            ("--max-sweeps", "-3", "max_sweeps"),
+            ("--tol", "nan", "tol"),
+            ("--tol", "inf", "tol"),
+            ("--tol=-1e-9", None, "tol"),
+        ):
+            argv = ["fg", "bp", "--graph", str(path), flag] + ([value] if value else [])
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: validation failed: {name}")
+        code, rep = run_cli(
+            capsys, "fg", "bp", "--graph", str(path), "--max-sweeps", "1", "--tol", "0"
+        )
+        assert code == 3  # one sweep does not converge, so the check fails
+        assert rep["outputs"]["sweeps"] == 1
+        assert not rep["checks"]["converged"]["pass"]
+
+    def test_bp_reports_a_vanished_message(self, capsys, files):
+        path = files["root"] / "clash.json"
+        path.write_text(json.dumps({
+            "variables": [{"id": "a", "cardinality": 2}, {"id": "b", "cardinality": 3}],
+            "factors": [
+                {"id": "g", "vars": ["a"], "table": [1.0, 0.0]},
+                {"id": "k", "vars": ["a"], "table": [0.0, 1.0]},
+                {"id": "h", "vars": ["a", "b"], "table": [1.0] * 6},
+            ],
+        }))
+        assert main(["fg", "bp", "--graph", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "message a->h vanished (contradictory constraints)" in captured.err
 
     def test_wr_tree_matches_oracle(self, capsys, files):
         from klbp import factorgraph, generators

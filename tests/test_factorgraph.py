@@ -3,6 +3,7 @@ import pytest
 
 from klbp.errors import SchemaError, ValidationError
 from klbp.factorgraph import (
+    MessageState,
     Factor,
     FactorGraph,
     Variable,
@@ -14,8 +15,10 @@ from klbp.factorgraph import (
     fg_to_json,
     message_delta,
     require_positive_tables,
+    uniform_messages,
     validate_fg,
 )
+from klbp.generators import gen_fg
 from klbp.oracle import enumerate_fg_marginals
 from perfbench import builders
 
@@ -177,21 +180,57 @@ def test_bp_on_a_1600_leaf_star_does_not_underflow():
             np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
 
 
-def test_tree_bp_through_a_30_ary_factor():
-    rng = np.random.default_rng(1000)
-    cards = [1] * 28 + [2, 3]
-    variables = [Variable(f"w{i:02d}", c) for i, c in enumerate(cards)]
-    variables.append(Variable("t", 2))
+def wide_factor_graph(arity, seed=1000):
+    """A factor over ``arity`` variables, all of cardinality 1 but the last two."""
+    rng = np.random.default_rng(seed)
+    cards = [1] * (arity - 2) + [2, 3]
+    names = [f"w{i:02d}" for i in range(arity)]
+    variables = [Variable(n, c) for n, c in zip(names, cards)] + [Variable("t", 2)]
     factors = [
-        Factor("wide", tuple(f"w{i:02d}" for i in range(30)), rng.uniform(0.2, 1.0, size=cards)),
-        Factor("u28", ("w28",), rng.uniform(0.2, 1.0, size=2)),
-        Factor("pair", ("w29", "t"), rng.uniform(0.2, 1.0, size=(3, 2))),
+        Factor("wide", tuple(names), rng.uniform(0.2, 1.0, size=cards)),
+        Factor("u", (names[-2],), rng.uniform(0.2, 1.0, size=2)),
+        Factor("pair", (names[-1], "t"), rng.uniform(0.2, 1.0, size=(3, 2))),
     ]
-    fg = FactorGraph(variables, factors)
+    return FactorGraph(variables, factors)
+
+
+def test_tree_bp_through_a_30_ary_factor():
+    fg = wide_factor_graph(30)
     beliefs = bp_beliefs(fg, bp_run_tree(fg))
     exact = enumerate_fg_marginals(fg)
     for vid in exact:
         np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
+
+
+def test_bp_through_a_52_ary_factor():
+    fg = wide_factor_graph(52)
+    exact = enumerate_fg_marginals(fg)
+    for state in (bp_run_tree(fg), bp_run(fg).state):
+        beliefs = bp_beliefs(fg, state)
+        for vid in exact:
+            np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
+
+
+def test_a_53_ary_factor_is_rejected_by_name():
+    fg = wide_factor_graph(53)
+    for run in (bp_run_tree, bp_run):
+        with pytest.raises(ValidationError, match="factor 'wide'"):
+            run(fg)
+
+
+def test_tree_bp_names_the_vanished_message():
+    # two unary factors on a allow no common state
+    fg = FactorGraph(
+        [Variable("a", 2), Variable("b", 3)],
+        [
+            Factor("g", ("a",), [1.0, 0.0]),
+            Factor("k", ("a",), [0.0, 1.0]),
+            Factor("h", ("a", "b"), np.ones((2, 3))),
+        ],
+    )
+    vanished = r"^message a->h vanished \(contradictory constraints\)$"
+    with pytest.raises(ValidationError, match=vanished):
+        bp_run_tree(fg)
 
 
 # ------------------------------------------------------------- loopy BP
@@ -228,6 +267,121 @@ def test_bad_damping_rejected():
     state = bp_run(fg, max_sweeps=1).state
     with pytest.raises(ValidationError):
         bp_sweep(fg, state, damping=1.0)
+
+
+def test_bp_run_rejects_bad_sweep_caps_and_tolerances():
+    fg = cycle_graph(np.random.default_rng(800))
+    for cap in (0, -3):
+        with pytest.raises(ValidationError, match="max_sweeps"):
+            bp_run(fg, max_sweeps=cap)
+    for tol in (-1e-12, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="tol"):
+            bp_run(fg, tol=tol)
+    assert bp_run(fg, tol=0.0, max_sweeps=1).sweeps == 1
+
+
+def test_loopy_bp_names_the_first_vanished_message_in_edge_order():
+    # hard zeros in pairwise and unary factors force a = 1 and a = 0, and
+    # c = 1 and c = 0; the messages a->ca and c->ca vanish in the same sweep
+    fg = FactorGraph(
+        [Variable("a", 2), Variable("b", 2), Variable("c", 2)],
+        [
+            Factor("ca", ("c", "a"), np.ones((2, 2))),
+            Factor("ab", ("a", "b"), [[0.0, 0.0], [1.0, 1.0]]),
+            Factor("bc", ("b", "c"), [[0.0, 1.0], [0.0, 1.0]]),
+            Factor("ua", ("a",), [1.0, 0.0]),
+            Factor("uc", ("c",), [1.0, 0.0]),
+        ],
+    )
+    vanished = r"^message c->ca vanished \(contradictory constraints\)$"
+    for damping in (0.0, 0.3):
+        with pytest.raises(ValidationError, match=vanished):
+            bp_run(fg, damping=damping)
+
+
+def reference_sweep(fg, state, damping=0.0):
+    """One flooding sweep edge by edge, with a plain einsum per factor message."""
+    edges = fg.edges()
+    off = np.cumsum([0] + [fg.cardinality(v) for _, v in edges])
+    slot = {edge: slice(off[e], off[e + 1]) for e, edge in enumerate(edges)}
+    factor_of = {f.id: f for f in fg.factors}
+    to_var = np.empty_like(state.to_var)
+    to_factor = np.empty_like(state.to_factor)
+    with np.errstate(divide="ignore"):
+        for fid, vid in edges:
+            f = factor_of[fid]
+            operands = [f.table, list(range(len(f.vars)))]
+            for q, u in enumerate(f.vars):
+                if u != vid:
+                    operands += [state.to_factor[slot[fid, u]], [q]]
+            msg = np.einsum(*operands, [f.vars.index(vid)])
+            to_var[slot[fid, vid]] = msg / msg.sum()
+            logs = np.zeros(fg.cardinality(vid))
+            for gid, u in edges:
+                if u == vid and gid != fid:
+                    logs += np.log(state.to_var[slot[gid, u]])
+            msg = np.exp(logs - logs.max())
+            to_factor[slot[fid, vid]] = msg / msg.sum()
+        if damping:
+            for new, old in ((to_var, state.to_var), (to_factor, state.to_factor)):
+                for s in slot.values():
+                    mixed = damping * np.log(old[s]) + (1.0 - damping) * np.log(new[s])
+                    msg = np.exp(mixed - mixed.max())
+                    new[s] = msg / msg.sum()
+    return MessageState(to_var, to_factor)
+
+
+def mixed_graph(rng, forest=False):
+    """Arity-3 factors, one (2, 2) shape over different variable orders, and
+    cardinality-1 axes; ``forest`` drops the factors that close cycles."""
+    cards = {"a": 2, "b": 2, "c": 3, "d": 1, "e": 2, "s": 1}
+    tables = [
+        ("abc", ("a", "b", "c")),
+        ("ba", ("b", "a")),
+        ("ae", ("a", "e")),
+        ("cde", ("c", "d", "e")),
+        ("eb", ("e", "b")),
+        ("sd", ("s", "d")),
+        ("us", ("s",)),
+        ("uc", ("c",)),
+        ("ced", ("c", "e", "d")),
+    ]
+    if forest:
+        tables = [t for t in tables if t[0] not in ("ba", "cde", "eb", "ced")]
+    variables = [Variable(v, c) for v, c in cards.items()]
+    factors = [
+        Factor(fid, vs, rng.uniform(0.2, 1.0, size=[cards[v] for v in vs])) for fid, vs in tables
+    ]
+    return FactorGraph(variables, factors)
+
+
+def _assert_sweep_matches_reference(fg, damping):
+    state = uniform_messages(fg)
+    for _ in range(4):
+        fast = bp_sweep(fg, state, damping=damping)
+        slow = reference_sweep(fg, state, damping)
+        np.testing.assert_allclose(fast.to_var, slow.to_var, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fast.to_factor, slow.to_factor, rtol=0, atol=1e-15)
+        state = fast
+
+
+def test_sweep_matches_a_per_edge_reference():
+    for damping in (0.0, 0.3):
+        for seed in range(50):
+            for kind in ("tree", "cycle"):
+                _assert_sweep_matches_reference(gen_fg(seed, kind=kind), damping)
+        for seed in range(5):
+            _assert_sweep_matches_reference(mixed_graph(np.random.default_rng(seed)), damping)
+
+
+def test_tree_bp_on_the_mixed_forest_matches_the_oracle():
+    for seed in range(5):
+        fg = mixed_graph(np.random.default_rng(seed), forest=True)
+        assert fg.is_forest()
+        beliefs = bp_beliefs(fg, bp_run_tree(fg))
+        exact = enumerate_fg_marginals(fg)
+        for vid in exact:
+            np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
 
 
 # ----------------------------------------------------------------- JSON
