@@ -37,15 +37,12 @@ from .simplex import (
     JointShape,
     Mahalanobis,
     NegativeEntropy,
-    joint_outcomes,
     m_project_blocks,
     m_project_product,
     softmax,
 )
 
 Array = np.ndarray
-
-_OUTCOME_LIMIT = 10_000  # attach explicit labels only to small joints
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +99,6 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
     table = np.ones(())
     for fac in fg.factors:
         table = np.multiply.outer(table, fac.table / fac.table.sum())
-    flat = table.reshape(-1)
-    outcomes = joint_outcomes(sizes) if n_entries <= _OUTCOME_LIMIT else None
-    q_init = DistVec(flat, outcomes)
     return ReplicatedSpace(
         fg,
         tuple(lay.edges),
@@ -113,7 +107,7 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
         tuple(tuple(lay.around[i]) for i in ident),
         ident_vars,
         ident_sizes,
-        q_init,
+        DistVec(table.reshape(-1)),
     )
 
 
@@ -126,10 +120,6 @@ def diagonal_restrict(space: ReplicatedSpace, values: Array) -> Array:
     label = {axis: k for k, group in enumerate(space.var_groups) for axis in group}
     diag = np.einsum(arr, [label[a] for a in range(arr.ndim)], list(range(len(space.var_groups))))
     return diag.reshape(-1)
-
-
-def _ident_outcomes(space: ReplicatedSpace) -> tuple | None:
-    return joint_outcomes(space.ident_sizes) if space.ident_size <= _OUTCOME_LIMIT else None
 
 
 def consensus_project(space: ReplicatedSpace, q: DistVec) -> DistVec:
@@ -145,7 +135,7 @@ def consensus_project(space: ReplicatedSpace, q: DistVec) -> DistVec:
     diag = diagonal_restrict(space, q.probs)
     if diag.sum() <= 0.0:
         raise ValidationError("consensus diagonal carries zero mass")
-    return DistVec(diag / diag.sum(), _ident_outcomes(space))
+    return DistVec(diag / diag.sum())
 
 
 def t_proj(space: ReplicatedSpace, q: DistVec) -> DistVec:
@@ -170,7 +160,7 @@ def extract_joint(space: ReplicatedSpace, beliefs: dict) -> DistVec:
     for vid in space.ident_vars:
         b = np.asarray(beliefs[vid], dtype=float)
         full = np.multiply.outer(full, b / b.sum())
-    return DistVec(full.reshape(-1), _ident_outcomes(space))
+    return DistVec(full.reshape(-1))
 
 
 # -------------------------------------------------------- hybrid scheme
@@ -415,7 +405,12 @@ def wr_run(
     The step norm compares successive q iterates in log coordinates (the
     natural coordinates for both generators' convergence statements).  The
     first step is excluded from the criterion when it changes grids.
+    ``max_iters`` must be at least 1 and ``tol`` finite and nonnegative.
     """
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     state = wr_init(space, gen)
     steps: list[float] = []
     prev_log: Array | None = (

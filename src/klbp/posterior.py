@@ -116,36 +116,37 @@ def _theta_dict(model: DiscretePriorModel, theta: Array) -> dict:
 
 def score_tables(model: DiscretePriorModel, theta: Array) -> list:
     """z_i(g, theta) for every grid point g, one array per variable."""
-    tdict = _theta_dict(model, theta)
-    out = []
-    for graph, grid in zip(model.graphs, model.grids):
-        vals = np.empty(grid.size)
-        for j, g in enumerate(grid):
-            vals[j] = forward_eval(graph, {**tdict, _VAR_INPUT: g}).values[
-                graph.output
-            ]
-        out.append(vals)
-    return out
+    return _score_sweep(model, theta, jacobians=False)[0]
 
 
 def score_jacobians(model: DiscretePriorModel, theta: Array) -> list:
-    """d z_i / d theta at every grid point: one (grid, n_theta) array per i.
+    """d z_i / d theta at every grid point: one (grid, n_theta) array per i."""
+    return _score_sweep(model, theta)[1]
 
-    Obtained from the reverse sweep seeded with a unit log-derivative, so
-    the adjoint at each parameter input is the raw partial.
+
+def _score_sweep(model: DiscretePriorModel, theta: Array, jacobians: bool = True) -> tuple:
+    """``score_tables`` and ``score_jacobians`` from one forward sweep per
+    grid point.
+
+    The Jacobians come from the reverse sweep seeded with a unit
+    log-derivative, so the adjoint at each parameter input is the raw
+    partial; without ``jacobians`` they stay zero.
     """
     tdict = _theta_dict(model, theta)
     unit = ExpScale(1.0)
-    out = []
+    z_tables, jacs = [], []
     for graph, grid in zip(model.graphs, model.grids):
+        z = np.empty(grid.size)
         jac = np.zeros((grid.size, len(model.theta)))
         for j, g in enumerate(grid):
             trace = forward_eval(graph, {**tdict, _VAR_INPUT: g})
-            adj = backward_adjoints(graph, trace, unit)
-            for k, name in enumerate(model.theta):
-                jac[j, k] = adj.get(name, 0.0)
-        out.append(jac)
-    return out
+            z[j] = trace.values[graph.output]
+            if jacobians:
+                adj = backward_adjoints(graph, trace, unit)
+                jac[j] = [adj.get(name, 0.0) for name in model.theta]
+        z_tables.append(z)
+        jacs.append(jac)
+    return z_tables, jacs
 
 
 def _broadcast(vec: Array, axis: int, m: int) -> Array:
@@ -200,8 +201,7 @@ def posterior_grad_enum(model: DiscretePriorModel, theta: Array) -> Array:
 
 
 def _grad_enum(model: DiscretePriorModel, theta: Array, prior_arrays) -> Array:
-    z_tables = score_tables(model, theta)
-    jacs = score_jacobians(model, theta)
+    z_tables, jacs = _score_sweep(model, theta)
     m = model.m
     check_assignments(model.grid_size(), what="posterior enumeration")
     z_tot = np.zeros([g.size for g in model.grids])
@@ -231,8 +231,12 @@ def posterior_factorized_marginals(model: DiscretePriorModel, theta: Array) -> l
         raise ValidationError(
             "factorized posterior needs an exponential likelihood"
         )
+    return _factorized(model, score_tables(model, theta))
+
+
+def _factorized(model: DiscretePriorModel, z_tables: list) -> list:
+    """``posterior_factorized_marginals`` from score tables already made."""
     alpha = model.likelihood.alpha
-    z_tables = score_tables(model, theta)
     out = []
     for p, z in zip(model.priors, z_tables):
         w = p.probs * np.exp(alpha * z)
@@ -251,8 +255,8 @@ def posterior_grad_bp(model: DiscretePriorModel, theta: Array) -> Array:
             "marginal-route gradient needs an exponential likelihood"
         )
     alpha = model.likelihood.alpha
-    marginals = posterior_factorized_marginals(model, theta)
-    jacs = score_jacobians(model, theta)
+    z_tables, jacs = _score_sweep(model, theta)
+    marginals = _factorized(model, z_tables)
     grad = np.zeros(len(model.theta))
     for q, jac in zip(marginals, jacs):
         grad += alpha * (q[:, None] * jac).sum(axis=0)
@@ -350,10 +354,12 @@ def model_from_json(obj) -> DiscretePriorModel:
             likelihood = NegLossTemp(lik["loss"], lik["param"], lik["temperature"])
         else:
             raise SchemaError(f"unknown likelihood kind {lik['kind']!r}")
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad model JSON: {exc}") from exc
+    except SchemaError:
+        raise
     except ValidationError as exc:
         raise SchemaError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad model JSON: {exc}") from exc
     try:
         return DiscretePriorModel(names, grids, priors, graphs, theta, likelihood)
     except ValidationError as exc:

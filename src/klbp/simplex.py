@@ -105,8 +105,12 @@ class DistVec:
     def from_json(obj) -> "DistVec":
         if not isinstance(obj, dict) or "probs" not in obj:
             raise SchemaError("distribution JSON must be an object with 'probs'")
+        try:
+            probs = np.asarray(obj["probs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"distribution 'probs' must be numbers: {exc}") from exc
         outs = obj.get("outcomes")
-        return DistVec(obj["probs"], None if outs is None else tuple(outs))
+        return DistVec(probs, None if outs is None else tuple(outs))
 
 
 def _check_same_labels(a: DistVec, b: DistVec, *, what: str) -> None:

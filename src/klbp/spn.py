@@ -826,9 +826,7 @@ def circuit_from_json(obj) -> SpnCircuit:
                     nodes.append(SpnNode(entry["id"], "sum", ids, weights))
                 else:
                     nodes.append(SpnNode(entry["id"], kind, ids))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad circuit node {entry!r}: {exc}") from exc
-        except ValidationError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad circuit node {entry!r}: {exc}") from exc
     try:
         return SpnCircuit(nodes, obj["root"])
@@ -850,5 +848,5 @@ def evidence_from_json(obj) -> Evidence:
         raise SchemaError("'lambda' must map variables to vectors")
     try:
         return Evidence({var: values for var, values in obj["lambda"].items()})
-    except ValidationError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +275,35 @@ class TestSpnCommands:
         assert rep["outputs"]["all_pairs_ok"] is True
         assert rep["outputs"]["n_pairs"] == 40 * 39 // 2
 
+    def test_lipschitz_rejects_a_negative_sample_count(self, capsys, files):
+        assert main(["spn", "lipschitz", "--circuit", files["circuit"], "--samples", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: validation failed: sample count")
+
+    def test_non_numeric_circuit_weight_or_state_exits_2(self, capsys, files):
+        circuit = json.loads(Path(files["circuit"]).read_text())
+        for node, field, value in (("r", "weight", "0.6x"), ("lx0", "state", "first")):
+            bad = json.loads(json.dumps(circuit))
+            entry = next(n for n in bad["nodes"] if n["id"] == node)
+            if field == "weight":
+                entry["children"][0]["weight"] = value
+            else:
+                entry["state"] = value
+            path = files["root"] / f"nonnumeric_{field}.json"
+            path.write_text(json.dumps(bad))
+            assert main(["spn", "validate", "--circuit", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: bad input: bad circuit node")
+
+    def test_non_numeric_evidence_exits_2(self, capsys, files):
+        path = files["root"] / "nonnumeric_lambda.json"
+        # a negative entry is a semantic error, which also exits 2 for evidence
+        for x in (["one", 0.5], [{"a": 1}, 0.5], [-1.0, 0.5]):
+            path.write_text(json.dumps({"schema": "v1", "lambda": {"X": x, "Y": [1.0, 0.8]}}))
+            argv = ["spn", "marginals", "--circuit", files["circuit"], "--evidence", str(path)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: bad input:")
+
 
 class TestFgCommands:
     def test_bp_tree_oracle(self, capsys, files):
@@ -370,6 +400,32 @@ class TestFgCommands:
         geo = np.sqrt(np.array([0.2, 0.8]) * np.array([0.5, 0.5]))
         assert rep["outputs"]["projection"] == pytest.approx(geo / geo.sum())
 
+    def test_wr_rejects_bad_iteration_caps_and_tolerances(self, capsys, files):
+        from klbp import factorgraph, generators
+
+        path = files["root"] / "wr_caps.json"
+        path.write_text(json.dumps(factorgraph.fg_to_json(generators.gen_fg(5, kind="cycle"))))
+        for flag, value, name in (
+            ("--max-iters", "0", "max_iters"),
+            ("--max-iters", "-2", "max_iters"),
+            ("--tol", "nan", "tol"),
+            ("--tol", "inf", "tol"),
+            ("--tol=-1e-9", None, "tol"),
+        ):
+            argv = ["fg", "wr", "--graph", str(path), flag] + ([value] if value else [])
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: validation failed: {name}")
+
+    def test_non_numeric_distribution_exits_2(self, capsys, files):
+        path = files["root"] / "nonnumeric_probs.json"
+        for probs, code in ((["a", 0.6, 0.2, 0.1], 2), ([-0.1, 0.6, 0.4, 0.1], 3)):
+            path.write_text(json.dumps({"probs": probs}))
+            argv = ["fg", "project", "--input", str(path), "--family", "diagonal", "--shape", "2,2"]
+            assert main(argv) == code
+            assert capsys.readouterr().out == ""
+
 
 class TestDagCommands:
     def test_adjoints_logistic_point(self, capsys, files):
@@ -447,6 +503,17 @@ class TestPosteriorCommands:
         assert code == 0
         assert rep["outputs"]["point_gradient"] == pytest.approx([1.0], abs=1e-12)
         assert rep["checks"]["dirac_limit"]["pass"]
+
+    def test_non_numeric_grid_or_prior_exits_2(self, capsys, files):
+        model = json.loads(Path(files["coin"]).read_text())
+        # a negative prior is a semantic error, which also exits 2 for models
+        for field, value in (("grid", [0.0, "one"]), ("prior", ["half", 0.5]), ("prior", [-0.5, 1.5])):
+            bad = json.loads(json.dumps(model))
+            bad["variables"][0][field] = value
+            path = files["root"] / f"nonnumeric_{field}.json"
+            path.write_text(json.dumps(bad))
+            assert main(["posterior", "grad", "--model", str(path), "--theta", "0.5"]) == 2
+            assert capsys.readouterr().err.startswith("error: bad input:")
 
 
 class TestOracleCompare:

@@ -315,3 +315,34 @@ def test_quadratic_metric_dimension_checked():
     space = replicate_lift(fg)
     with pytest.raises(ValidationError):
         wr_init(space, Mahalanobis(np.eye(3)))
+
+
+def test_lift_tables_carry_no_outcome_labels():
+    fg = chain_graph(np.random.default_rng(64))
+    space = replicate_lift(fg)
+    assert space.q_init.outcomes is None
+    assert consensus_project(space, space.q_init).outcomes is None
+    beliefs = {v.id: np.full(v.cardinality, 0.5) for v in fg.variables}
+    assert extract_joint(space, beliefs).outcomes is None
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -2}, "max_iters"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": -1e-9}, "tol"),
+    ],
+)
+def test_wr_run_rejects_bad_iteration_caps_and_tolerances(kwargs, name):
+    space = replicate_lift(chain_graph(np.random.default_rng(65)))
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        wr_run(space, ENTROPY, **kwargs)
+
+
+def test_wr_run_takes_one_iteration_at_tolerance_zero():
+    space = replicate_lift(chain_graph(np.random.default_rng(65)))
+    run = wr_run(space, ENTROPY, tol=0.0, max_iters=1)
+    assert run.state.n == 1 and not run.converged

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from klbp.budgets import BudgetError
-from klbp.compgraph import CompGraph, CompNode, ExpScale, NegLossTemp
+from klbp.compgraph import CompGraph, CompNode, ExpScale, NegLossTemp, forward_eval
 from klbp.errors import SchemaError, ValidationError
 from klbp.generators import gen_posterior
 from klbp.oracle import finite_diff_grad
@@ -226,6 +226,32 @@ class TestGradMarginalRoute:
         )
         with pytest.raises(ValidationError, match="exponential"):
             posterior_grad_bp(model, np.array([0.5]))
+
+
+class TestOneForwardSweep:
+    """Each route evaluates every score graph once per grid point."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forward_evaluations_per_route(self, seed, monkeypatch):
+        import klbp.posterior as posterior
+
+        calls = []
+
+        def counting(graph, inputs):
+            calls.append(graph)
+            return forward_eval(graph, inputs)
+
+        monkeypatch.setattr(posterior, "forward_eval", counting)
+        model, theta = gen_posterior(seed, force_exp=True)
+        points = sum(g.size for g in model.grids)
+        posterior_grad_enum(model, theta)
+        assert len(calls) == points
+        calls.clear()
+        posterior_grad_bp(model, theta)
+        assert len(calls) == points
+        calls.clear()
+        dirac_limit_check(model, theta, tuple(0 for _ in model.grids))
+        assert len(calls) == points + model.m
 
 
 class TestDiracLimit:

@@ -13,6 +13,7 @@ from klbp.spn import (
     downward_pass,
     gate_report,
     marginal_arrays,
+    marginal_batch,
     unroll_circuit,
     upward_pass,
 )
@@ -332,6 +333,47 @@ class TestLipschitzProbe:
         ref_L, ref_ok = _per_point_probe(c, box, 40, seed)
         assert report["L_hat"] == pytest.approx(ref_L, rel=1e-9)
         assert report["all_pairs_ok"] == ref_ok
+
+    def test_probe_sends_each_point_and_its_clamped_columns_in_one_batch(self, monkeypatch):
+        import klbp.spn_reduce as spn_reduce
+
+        widths = []
+
+        def recording(circuit, lam):
+            widths.append(np.shape(lam)[1])
+            return marginal_batch(circuit, lam)
+
+        monkeypatch.setattr(spn_reduce, "marginal_batch", recording)
+        c = two_component_circuit()
+        dim = sum(c.cardinality(v) for v in c.variable_order())
+        lipschitz_probe(c, (np.log(0.5), 0.0), 7, 0)
+        assert widths == [7 * (dim + 1)]
+
+    def test_a_state_no_leaf_reads_stays_unclamped(self):
+        # X has leaves for states 0 and 2 only; clamping X to 1 would leave
+        # the root with no support
+        nodes = [
+            SpnNode("x0", "leaf", var="X", state=0),
+            SpnNode("x2", "leaf", var="X", state=2),
+            SpnNode("y0", "leaf", var="Y", state=0),
+            SpnNode("y1", "leaf", var="Y", state=1),
+            SpnNode("a", "product", ("x0", "y0")),
+            SpnNode("b", "product", ("x2", "y1")),
+            SpnNode("s", "sum", ("a", "b"), (0.3, 0.7)),
+        ]
+        c = SpnCircuit(nodes, "s")
+        assert c.cardinality("X") == 3
+        box = (np.log(0.5), 0.0)
+        report = lipschitz_probe(c, box, 30, 3)
+        ref_L, ref_ok = _per_point_probe(c, box, 30, 3)
+        assert report["all_pairs_ok"] and ref_ok
+        assert report["L_hat"] > 0
+        assert report["L_hat"] == pytest.approx(ref_L, rel=1e-9)
+
+    def test_negative_sample_count_rejected(self):
+        c = two_component_circuit()
+        with pytest.raises(ValidationError, match="sample count"):
+            lipschitz_probe(c, (np.log(0.5), 0.0), -1, 0)
 
     def test_singleton_alphabet_contributes_zero(self):
         nodes = [
