@@ -1,53 +1,3 @@
 """Exact divergence-projection checks for graphical models and circuits."""
 
-from .budgets import BudgetError
-from .compgraph import (
-    CompGraph,
-    CompNode,
-    ExpScale,
-    NegLossTemp,
-    backward_adjoints,
-    downward_log_belief,
-    forward_eval,
-)
-from .errors import SchemaError, ValidationError
-from .factorgraph import Factor, FactorGraph, Variable, bp_beliefs, bp_run, bp_run_tree
-from .lift import replicate_lift, wr_beliefs, wr_run
-from .oracle import (
-    enumerate_fg_marginals,
-    enumerate_spn_marginals,
-    finite_diff_grad,
-    numeric_projection,
-)
-from .posterior import (
-    DiscretePriorModel,
-    dirac_limit_check,
-    marginal_likelihood,
-    posterior_grad_bp,
-    posterior_grad_enum,
-)
-from .simplex import (
-    DistVec,
-    JointShape,
-    Mahalanobis,
-    NegativeEntropy,
-    consensus_geomean,
-    divergence,
-    i_project_diagonal,
-    m_project_product,
-)
-from .spn import (
-    Evidence,
-    SpnCircuit,
-    SpnNode,
-    downward_pass,
-    gate_report,
-    kkt_multipliers,
-    unroll_circuit,
-    upward_pass,
-    validate_spn,
-    variable_marginals,
-)
-from .spn_reduce import lipschitz_probe, region_two_step, spn_to_factor_graph
-
 __version__ = "0.1.0"

@@ -77,11 +77,8 @@ def _emit(obj, parts: list) -> None:
 
 
 def _load_json(path: str) -> tuple[dict, str]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise
+    with open(path, "rb") as fh:
+        raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw.decode("utf-8")), digest
@@ -152,6 +149,19 @@ def _parse_floats(text: str) -> np.ndarray:
         return np.array([float(x) for x in text.split(",") if x.strip() != ""])
     except ValueError as exc:
         raise SchemaError(f"bad number list {text!r}") from exc
+
+
+def _parse_ints(text: str) -> list[int]:
+    values = [float(x) for x in _parse_floats(text)]
+    bad = [x for x in values if not x.is_integer()]
+    if bad:
+        raise SchemaError(f"bad whole number {bad[0]!r} in {text!r}")
+    return [int(x) for x in values]
+
+
+def _require_positive(count: int, what: str) -> None:
+    if count < 1:
+        raise ValidationError(f"{what} must be at least 1, got {count}")
 
 
 def _load_circuit_evidence(args) -> tuple:
@@ -357,7 +367,7 @@ def cmd_fg_project(args):
         outputs = {"projection": closed.probs}
         return _report(args, inputs, outputs, {"oracle_projection": _check(gap, 1e-6)})
     dist = simplex.DistVec.from_json(obj)
-    sizes = tuple(int(s) for s in _parse_floats(args.shape))
+    sizes = tuple(_parse_ints(args.shape))
     if args.family == "diagonal":
         shape = simplex.JointShape(sizes, (tuple(range(len(sizes))),))
         closed = simplex.i_project_diagonal(dist, shape)
@@ -463,6 +473,7 @@ def cmd_dag_adjoints(args):
 
 
 def cmd_dag_gauge(args):
+    _require_positive(args.trials, "trial count")
     obj, digest = _load_json(args.graph)
     graph = compgraph.graph_from_json(obj)
     at = _parse_at(args.at)
@@ -523,7 +534,7 @@ def cmd_posterior_dirac(args):
     obj, digest = _load_json(args.model)
     model = posterior.model_from_json(obj)
     theta = _parse_floats(args.theta)
-    x_star = tuple(int(i) for i in _parse_floats(args.at))
+    x_star = tuple(_parse_ints(args.at))
     left, right = posterior.dirac_limit_check(model, theta, x_star)
     gap = float(np.abs(left - right).max()) if len(left) else 0.0
     outputs = {"point_gradient": left, "adjoint_composition": right}
@@ -594,6 +605,7 @@ _COMPARERS = {
 
 
 def cmd_oracle_compare(args):
+    _require_positive(args.count, "instance count")
     kinds = list(_COMPARERS) if args.kind == "all" else [args.kind]
     outputs = {}
     checks = {}

@@ -10,10 +10,10 @@ The API exposes both readings: ``backward_adjoints`` is the reverse sweep,
 numerically.
 
 Every primitive is one entry of the ``PRIMITIVES`` table: its arity, whether
-it carries a constant, whether its domain has a hazard, its forward map and
-its partials.  Validation, forward evaluation, the reverse sweep and the
-random-DAG generator all read that table.  The set is fixed to C1 ops;
-relu/abs are rejected on purpose -- approximate with softplus.
+it carries a constant, its forward map and its partials.  Validation,
+forward evaluation, the reverse sweep and the random-DAG generator all read
+that table.  The set is fixed to C1 ops; relu/abs are rejected on purpose
+-- approximate with softplus.
 """
 
 from __future__ import annotations
@@ -68,15 +68,13 @@ class Primitive:
 
     ``vals`` are the input values, ``out`` the forward value and ``c`` the
     node's constant (the value of "constant", the exponent of "pow"); ``d``
-    returns one partial per input.  ``hazard`` marks ops whose domain is not
-    the whole real line.
+    returns one partial per input.
     """
 
     arity: int
     f: Callable | None = None
     d: Callable | None = None
     needs_value: bool = False
-    hazard: bool = False
 
 
 PRIMITIVES = {
@@ -85,11 +83,9 @@ PRIMITIVES = {
     "add": Primitive(2, lambda v, c: v[0] + v[1], lambda v, out, c: (1.0, 1.0)),
     "sub": Primitive(2, lambda v, c: v[0] - v[1], lambda v, out, c: (1.0, -1.0)),
     "mul": Primitive(2, lambda v, c: v[0] * v[1], lambda v, out, c: (v[1], v[0])),
-    "div": Primitive(
-        2, _div, lambda v, out, c: (1.0 / v[1], -(v[0] / v[1]) / v[1]), hazard=True
-    ),
+    "div": Primitive(2, _div, lambda v, out, c: (1.0 / v[1], -(v[0] / v[1]) / v[1])),
     "exp": Primitive(1, lambda v, c: math.exp(v[0]), lambda v, out, c: (out,)),
-    "log": Primitive(1, _log, lambda v, out, c: (1.0 / v[0],), hazard=True),
+    "log": Primitive(1, _log, lambda v, out, c: (1.0 / v[0],)),
     "sigmoid": Primitive(
         1, lambda v, c: _sigmoid(v[0]), lambda v, out, c: (out * (1.0 - out),)
     ),
@@ -101,7 +97,7 @@ PRIMITIVES = {
     ),
     "pow": Primitive(
         1, _pow, lambda v, out, c: (0.0 if c == 0.0 else c * v[0] ** (c - 1.0),),
-        needs_value=True, hazard=True,
+        needs_value=True,
     ),
 }
 
@@ -122,10 +118,11 @@ class CompNode:
 
 
 class CompGraph:
-    """Nodes plus one output id.  Deep validation is report-style
-    (``validate_dag``); construction only rejects graphs that cannot be
-    inspected at all (duplicate ids, dangling references, missing output).
-    The topological order is fixed at construction; a cycle leaves it unset.
+    """Nodes plus one output id.  Construction only rejects graphs that
+    cannot be inspected at all (duplicate ids, dangling references, missing
+    output); the deep checks (cycles, op set, arity, missing values) run once
+    per graph, and ``forward_eval`` raises every issue they find.  The
+    topological order is fixed at construction; a cycle leaves it unset.
     """
 
     def __init__(self, nodes, output: str):
@@ -147,8 +144,21 @@ class CompGraph:
         self._topo = topo_sort({n.id: n.inputs for n in self.nodes})
 
     @cached_property
-    def _validation(self) -> dict:
-        return _dag_report(self)
+    def _issues(self) -> list[str]:
+        issues = [] if self._topo is not None else ["graph contains a cycle"]
+        for n in self.nodes:
+            prim = PRIMITIVES.get(n.op)
+            if prim is None:
+                issues.append(f"node {n.id!r}: op {n.op!r} is not in the C1 primitive set")
+                continue
+            if len(n.inputs) != prim.arity:
+                issues.append(
+                    f"node {n.id!r}: op {n.op!r} takes {prim.arity} inputs, "
+                    f"got {len(n.inputs)}"
+                )
+            if prim.needs_value and n.value is None:
+                issues.append(f"node {n.id!r}: op {n.op!r} needs a value")
+        return issues
 
     def node(self, node_id: str) -> CompNode:
         return self._by_id[node_id]
@@ -160,48 +170,6 @@ class CompGraph:
         if self._topo is None:
             raise ValidationError("computation graph contains a cycle")
         return list(self._topo)
-
-
-def validate_dag(graph: CompGraph) -> dict:
-    """Report acyclicity, op-set membership, arity, and domain hazards.
-
-    A graph is immutable, so the report is computed once per graph; every
-    call returns its own copy.
-    """
-    report = graph._validation
-    return {
-        **report,
-        "issues": list(report["issues"]),
-        "domain_hazards": list(report["domain_hazards"]),
-    }
-
-
-def _dag_report(graph: CompGraph) -> dict:
-    issues: list[str] = []
-    acyclic = graph._topo is not None
-    if not acyclic:
-        issues.append("graph contains a cycle")
-    hazards = []
-    for n in graph.nodes:
-        prim = PRIMITIVES.get(n.op)
-        if prim is None:
-            issues.append(f"node {n.id!r}: op {n.op!r} is not in the C1 primitive set")
-            continue
-        if len(n.inputs) != prim.arity:
-            issues.append(
-                f"node {n.id!r}: op {n.op!r} takes {prim.arity} inputs, "
-                f"got {len(n.inputs)}"
-            )
-        if prim.needs_value and n.value is None:
-            issues.append(f"node {n.id!r}: op {n.op!r} needs a value")
-        if prim.hazard:
-            hazards.append(n.id)
-    return {
-        "valid": acyclic and not issues,
-        "acyclic": acyclic,
-        "issues": issues,
-        "domain_hazards": hazards,
-    }
 
 
 # --------------------------------------------------------------- forward
@@ -222,9 +190,8 @@ def forward_eval(
     perturb one variable' means operationally: downstream nodes see the
     pinned value, everything else keeps its defining equation.
     """
-    report = graph._validation
-    if not report["valid"]:
-        raise ValidationError("; ".join(report["issues"]) or "invalid graph")
+    if graph._issues:
+        raise ValidationError("; ".join(graph._issues))
     values: dict[str, float] = {}
     for nid in graph.topo_order():
         node = graph.node(nid)
@@ -391,6 +358,9 @@ def downward_log_belief(
     return out
 
 
+_GRID_POINTS = 5
+
+
 def slope_from_grid(grid, values) -> float:
     """Central-difference slope at the middle point of an odd uniform grid."""
     g = np.asarray(grid, dtype=float)
@@ -401,10 +371,9 @@ def slope_from_grid(grid, values) -> float:
     return float((vals[mid + 1] - vals[mid - 1]) / (g[mid + 1] - g[mid - 1]))
 
 
-def centered_grid(center: float, half_width: float, points: int = 5) -> np.ndarray:
-    if points < 3 or points % 2 == 0:
-        raise ValidationError("grid needs an odd number of points, at least 3")
-    return center + np.linspace(-half_width, half_width, points)
+def centered_grid(center: float, half_width: float) -> np.ndarray:
+    """Five evenly spaced points across [center - half_width, center + half_width]."""
+    return center + np.linspace(-half_width, half_width, _GRID_POINTS)
 
 
 # ----------------------------------------------------------------- JSON

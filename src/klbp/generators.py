@@ -23,6 +23,12 @@ _DAG_WEIGHTS = (0.16, 0.10, 0.16, 0.08, 0.04, 0.08, 0.11, 0.11, 0.11, 0.05)
 _VALUE_CAP = 20.0
 _DOMAIN_MARGIN = 0.1
 
+# size bounds of the drawn instances
+_MAX_DAG_NODES = 30
+_MAX_FG_VARS = 6
+_MAX_CARD = 3  # states per factor-graph or circuit variable
+_MAX_POSTERIOR_VARS = 4
+
 
 def _dag_margins_ok(graph: CompGraph, values: dict) -> bool:
     for node in graph.nodes:
@@ -38,7 +44,7 @@ def _dag_margins_ok(graph: CompGraph, values: dict) -> bool:
     return True
 
 
-def gen_dag(seed: int, *, max_nodes: int = 30) -> tuple[CompGraph, dict]:
+def gen_dag(seed: int) -> tuple[CompGraph, dict]:
     """Random C1 computation DAG plus a safe input point.
 
     Rejection-samples until every forward value is bounded and every
@@ -54,7 +60,7 @@ def gen_dag(seed: int, *, max_nodes: int = 30) -> tuple[CompGraph, dict]:
                 CompNode("c0", "constant", value=float(rng.uniform(0.5, 2.0)))
             )
         pool = [n.id for n in nodes]
-        n_interior = int(rng.integers(3, max(4, max_nodes - len(nodes))))
+        n_interior = int(rng.integers(3, max(4, _MAX_DAG_NODES - len(nodes))))
         for j in range(n_interior):
             op = str(rng.choice(_DAG_OPS, p=_DAG_WEIGHTS))
             refs = tuple(str(rng.choice(pool)) for _ in range(PRIMITIVES[op].arity))
@@ -75,7 +81,7 @@ def gen_dag(seed: int, *, max_nodes: int = 30) -> tuple[CompGraph, dict]:
     raise ValidationError(f"no admissible computation DAG found for seed {seed}")
 
 
-def gen_fg(seed: int, *, kind: str = "tree", max_vars: int = 6, max_card: int = 3) -> FactorGraph:
+def gen_fg(seed: int, *, kind: str = "tree") -> FactorGraph:
     """Random strictly positive factor graph.
 
     kind "tree": random spanning-tree shape with pairwise factors and one
@@ -84,7 +90,7 @@ def gen_fg(seed: int, *, kind: str = "tree", max_vars: int = 6, max_card: int = 
     """
     rng = np.random.default_rng(seed)
     if kind == "cycle":
-        card = int(rng.integers(2, max_card + 1))
+        card = int(rng.integers(2, _MAX_CARD + 1))
         variables = [Variable(f"c{i}", card) for i in range(3)]
         factors = [
             Factor(
@@ -97,8 +103,8 @@ def gen_fg(seed: int, *, kind: str = "tree", max_vars: int = 6, max_card: int = 
         return FactorGraph(variables, factors)
     if kind != "tree":
         raise ValidationError(f"unknown factor-graph kind {kind!r}")
-    n_vars = int(rng.integers(2, max_vars + 1))
-    cards = [int(rng.integers(2, max_card + 1)) for _ in range(n_vars)]
+    n_vars = int(rng.integers(2, _MAX_FG_VARS + 1))
+    cards = [int(rng.integers(2, _MAX_CARD + 1)) for _ in range(n_vars)]
     variables = [Variable(f"v{i}", cards[i]) for i in range(n_vars)]
     factors = [Factor("root", ("v0",), rng.uniform(0.3, 1.0, size=cards[0]))]
     for i in range(1, n_vars):
@@ -116,7 +122,6 @@ def gen_fg(seed: int, *, kind: str = "tree", max_vars: int = 6, max_card: int = 
 def gen_spn(
     seed: int,
     *,
-    max_card: int = 3,
     shared: bool = False,
     n_vars: int | None = None,
     states: int | None = None,
@@ -134,7 +139,7 @@ def gen_spn(
 
     rng = np.random.default_rng(seed)
     drawn_vars = int(rng.integers(2, 4))
-    drawn_cards = [int(rng.integers(2, max_card + 1)) for _ in range(4)]
+    drawn_cards = [int(rng.integers(2, _MAX_CARD + 1)) for _ in range(4)]
     if n_vars is None:
         n_vars = drawn_vars
         cards = drawn_cards[:n_vars]
@@ -147,7 +152,7 @@ def gen_spn(
         cards = (
             [int(states)] * n_vars
             if states is not None
-            else [int(rng.integers(2, max_card + 1)) for _ in range(n_vars)]
+            else [int(rng.integers(2, _MAX_CARD + 1)) for _ in range(n_vars)]
         )
         if any(c < 1 for c in cards):
             raise ValidationError("states must be positive")
@@ -209,7 +214,7 @@ def gen_spn(
     return circuit, evidence
 
 
-def gen_posterior(seed: int, *, force_exp: bool = False, max_vars: int = 4):
+def gen_posterior(seed: int, *, force_exp: bool = False):
     """Random factored discrete model plus a parameter point.
 
     Grids live in [-1, 1]; score graphs mix each grid value with shared
@@ -222,7 +227,7 @@ def gen_posterior(seed: int, *, force_exp: bool = False, max_vars: int = 4):
     from .simplex import DistVec
 
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, max_vars + 1))
+    m = int(rng.integers(1, _MAX_POSTERIOR_VARS + 1))
     n_theta = int(rng.integers(1, 4))
     theta_names = ("a", "b", "c")[:n_theta]
 

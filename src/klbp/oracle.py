@@ -26,6 +26,13 @@ from .simplex import (
 
 Array = np.ndarray
 
+N_STARTS = 8
+# a descent stops after five steps that each move the objective by at most
+# DESCENT_TOL (relative), and fails after MAX_DESCENT_STEPS
+DESCENT_TOL = 1e-10
+MAX_DESCENT_STEPS = 100_000
+FD_REL_STEP = 1e-5
+
 
 # ------------------------------------------------------- constraint specs
 
@@ -215,12 +222,12 @@ class _Problem:
         return DistVec.from_weights(parts[0], self.outcomes)
 
 
-def _descend(problem: _Problem, u0: Array, tol: float, max_steps: int) -> Array:
+def _descend(problem: _Problem, u0: Array) -> Array:
     u = u0.copy()
     val, grad = problem.value_grad(u)
     step = 1.0
     flat_count = 0
-    for _ in range(max_steps):
+    for _ in range(MAX_DESCENT_STEPS):
         if float(np.max(np.abs(grad))) <= 1e-12:
             return u
         while True:
@@ -231,7 +238,7 @@ def _descend(problem: _Problem, u0: Array, tol: float, max_steps: int) -> Array:
             step *= 0.5
             if step < 1e-18:
                 return u  # no descent direction left at float precision
-        if abs(val - tval) <= tol * max(1.0, abs(val)):
+        if abs(val - tval) <= DESCENT_TOL * max(1.0, abs(val)):
             flat_count += 1
         else:
             flat_count = 0
@@ -240,7 +247,7 @@ def _descend(problem: _Problem, u0: Array, tol: float, max_steps: int) -> Array:
         if flat_count >= 5:
             return u
     raise ValidationError(
-        f"numeric projection did not converge within {max_steps} steps"
+        f"numeric projection did not converge within {MAX_DESCENT_STEPS} steps"
     )
 
 
@@ -292,15 +299,12 @@ def numeric_projection(
     side: str = "left",
     *,
     seed: int = 0,
-    n_starts: int = 8,
-    tol: float = 1e-10,
-    max_steps: int = 100_000,
     return_all: bool = False,
 ):
     """Minimize the Bregman objective over the constraint set numerically.
 
     ``side='left'`` minimizes D(r, q) over r in the set, ``side='right'``
-    minimizes D(q, r).  Runs ``n_starts`` seeded starts (the first from the
+    minimizes D(q, r).  Runs ``N_STARTS`` seeded starts (the first from the
     uniform point) and returns the best solution as a DistVec -- or, with
     ``return_all``, the pair (best, per-start list) for uniqueness checks.
     """
@@ -312,9 +316,9 @@ def numeric_projection(
     rng = np.random.default_rng(seed)
     solutions = []
     values = []
-    for start in range(n_starts):
+    for start in range(N_STARTS):
         u0 = np.zeros(problem.dim) if start == 0 else rng.standard_normal(problem.dim)
-        u = _polish(problem, _descend(problem, u0, tol, max_steps))
+        u = _polish(problem, _descend(problem, u0))
         val, _ = problem.value_grad(u)
         solutions.append(problem.finish(u))
         values.append(val)
@@ -459,15 +463,15 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
 # ----------------------------------------------------- finite differences
 
 
-def finite_diff_grad(f, point: Array, *, rel_step: float = 1e-5) -> Array:
+def finite_diff_grad(f, point: Array) -> Array:
     """Central finite-difference gradient with per-coordinate steps.
 
-    Coordinate i uses step h_i = rel_step * max(1, |x_i|).
+    Coordinate i uses step h_i = FD_REL_STEP * max(1, |x_i|).
     """
     x = np.asarray(point, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
+        h = FD_REL_STEP * max(1.0, abs(x[i]))
         hi = x.copy()
         lo = x.copy()
         hi[i] += h

@@ -119,14 +119,9 @@ def score_tables(model: DiscretePriorModel, theta: Array) -> list:
     return _score_sweep(model, theta, jacobians=False)[0]
 
 
-def score_jacobians(model: DiscretePriorModel, theta: Array) -> list:
-    """d z_i / d theta at every grid point: one (grid, n_theta) array per i."""
-    return _score_sweep(model, theta)[1]
-
-
 def _score_sweep(model: DiscretePriorModel, theta: Array, jacobians: bool = True) -> tuple:
-    """``score_tables`` and ``score_jacobians`` from one forward sweep per
-    grid point.
+    """Score tables and their Jacobians d z_i / d theta (one (grid, n_theta)
+    array per variable) from one forward sweep per grid point.
 
     The Jacobians come from the reverse sweep seeded with a unit
     log-derivative, so the adjoint at each parameter input is the raw
@@ -174,17 +169,13 @@ def marginal_likelihood(
 ) -> float:
     """Sum of prior times likelihood over the whole grid.
 
-    ``method``: "enum" forces enumeration, "factorized" forces the
-    per-variable product (exponential likelihood only), "auto" uses the
-    factorized route when available and enumeration otherwise.
+    ``method``: "enum" forces enumeration; "auto" takes the per-variable
+    product when the likelihood is exponential and enumeration otherwise.
     """
-    if method not in ("auto", "enum", "factorized"):
+    if method not in ("auto", "enum"):
         raise ValidationError(f"unknown method {method!r}")
     z_tables = score_tables(model, theta)
-    exp_ok = isinstance(model.likelihood, ExpScale)
-    if method == "factorized" or (method == "auto" and exp_ok):
-        if not exp_ok:
-            raise ValidationError("factorized path needs an exponential likelihood")
+    if method == "auto" and isinstance(model.likelihood, ExpScale):
         alpha = model.likelihood.alpha
         value = 1.0
         for p, z in zip(model.priors, z_tables):
@@ -225,25 +216,6 @@ def _grad_enum(model: DiscretePriorModel, theta: Array, prior_arrays) -> Array:
     return grad
 
 
-def posterior_factorized_marginals(model: DiscretePriorModel, theta: Array) -> list:
-    """Per-variable posteriors q_i ~ p_i exp(alpha z_i) (exponential regime)."""
-    if not isinstance(model.likelihood, ExpScale):
-        raise ValidationError(
-            "factorized posterior needs an exponential likelihood"
-        )
-    return _factorized(model, score_tables(model, theta))
-
-
-def _factorized(model: DiscretePriorModel, z_tables: list) -> list:
-    """``posterior_factorized_marginals`` from score tables already made."""
-    alpha = model.likelihood.alpha
-    out = []
-    for p, z in zip(model.priors, z_tables):
-        w = p.probs * np.exp(alpha * z)
-        out.append(w / w.sum())
-    return out
-
-
 def posterior_grad_bp(model: DiscretePriorModel, theta: Array) -> Array:
     """alpha sum_i E_{q_i}[d_theta z_i]: the marginal-only gradient route.
 
@@ -256,10 +228,10 @@ def posterior_grad_bp(model: DiscretePriorModel, theta: Array) -> Array:
         )
     alpha = model.likelihood.alpha
     z_tables, jacs = _score_sweep(model, theta)
-    marginals = _factorized(model, z_tables)
     grad = np.zeros(len(model.theta))
-    for q, jac in zip(marginals, jacs):
-        grad += alpha * (q[:, None] * jac).sum(axis=0)
+    for p, z, jac in zip(model.priors, z_tables, jacs):
+        w = p.probs * np.exp(alpha * z)  # q_i ~ p_i exp(alpha z_i)
+        grad += alpha * (w[:, None] / w.sum() * jac).sum(axis=0)
     return grad
 
 

@@ -39,15 +39,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .budgets import BudgetError
 from .errors import SchemaError, ValidationError
 from .toposort import topo_sort
 
 Array = np.ndarray
 
 _KINDS = ("sum", "product", "leaf")
-
-UNROLL_NODE_CAP = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -757,36 +754,6 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     }
 
 
-# ---------------------------------------------------------------- unroll
-
-
-def unroll_circuit(circuit: SpnCircuit, *, cap: int = UNROLL_NODE_CAP) -> SpnCircuit:
-    """Duplicate shared subcircuits so every node has one parent.
-
-    Returns the circuit unchanged when it is already a tree.  The unrolled
-    copy uses fresh deterministic ids; exceeding ``cap`` nodes raises.
-    """
-    if circuit.is_tree():
-        return circuit
-    counter = [0]
-    nodes: list[SpnNode] = []
-
-    def clone(nid: str) -> str:
-        if counter[0] >= cap:
-            raise BudgetError(f"unrolling exceeds {cap} nodes")
-        fresh = f"u{counter[0]}"
-        counter[0] += 1
-        n = circuit.node(nid)
-        kids = tuple(clone(c) for c in n.children)
-        nodes.append(
-            SpnNode(fresh, n.kind, kids, n.weights, n.var, n.state)
-        )
-        return fresh
-
-    root = clone(circuit.root)
-    return SpnCircuit(nodes, root)
-
-
 # ----------------------------------------------------------------- JSON
 
 
@@ -846,7 +813,13 @@ def evidence_from_json(obj) -> Evidence:
         raise SchemaError("evidence JSON must be an object with 'lambda'")
     if not isinstance(obj["lambda"], dict):
         raise SchemaError("'lambda' must map variables to vectors")
+    lam = {}
+    for var, values in obj["lambda"].items():
+        try:
+            lam[var] = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"evidence for {var!r} is not numeric: {exc}") from exc
     try:
-        return Evidence({var: values for var, values in obj["lambda"].items()})
-    except (TypeError, ValueError) as exc:
+        return Evidence(lam)
+    except ValidationError as exc:
         raise SchemaError(str(exc)) from exc

@@ -41,6 +41,11 @@ REGION_ENTRY_CAP = 4096
 
 PARSE_VAR = "P::parse"
 
+# Evidence columns per ``marginal_batch`` call of the smoothness probe, so
+# its memory does not grow with the sample count; a point travels with its
+# dim clamped copies, so a chunk holds at least one point.
+_PROBE_COLUMNS = 1 << 12
+
 
 def _require_tree(circuit: SpnCircuit, what: str) -> None:
     if not circuit.is_tree():
@@ -52,13 +57,13 @@ def _require_tree(circuit: SpnCircuit, what: str) -> None:
 # ---------------------------------------------------------------- parses
 
 
-def enumerate_parses(circuit: SpnCircuit, *, cap: int = PARSE_CAP):
+def enumerate_parses(circuit: SpnCircuit):
     """All complete parses of a tree circuit.
 
     A parse picks one child at every visited sum and keeps every child of
     a visited product; by completeness/decomposability it selects exactly
     one state per variable.  Returns (weight, var->state, sum->position)
-    triples in deterministic order.
+    triples in deterministic order; more than ``PARSE_CAP`` parses raise.
     """
     _require_tree(circuit, "parse enumeration")
 
@@ -73,14 +78,14 @@ def enumerate_parses(circuit: SpnCircuit, *, cap: int = PARSE_CAP):
                     merged = dict(choice)
                     merged[nid] = pos
                     out.append((w * cw, asg, merged))
-                if len(out) > cap:
-                    raise BudgetError(f"more than {cap} parses")
+                if len(out) > PARSE_CAP:
+                    raise BudgetError(f"more than {PARSE_CAP} parses")
             return out
         out = [(1.0, {}, {})]
         for c in n.children:
             child = walk(c)
-            if len(out) * len(child) > cap:
-                raise BudgetError(f"more than {cap} parses")
+            if len(out) * len(child) > PARSE_CAP:
+                raise BudgetError(f"more than {PARSE_CAP} parses")
             nxt = []
             for (w1, a1, c1), (w2, a2, c2) in itertools.product(out, child):
                 nxt.append((w1 * w2, {**a1, **a2}, {**c1, **c2}))
@@ -355,13 +360,19 @@ def lipschitz_probe(
     keep = (owner[:, None] != owner) | np.eye(dim, dtype=bool)
     keep[[slot not in read for slot in slots]] = True
     lam = np.exp(points)
-    clamped = (lam[:, None, :] * keep).reshape(-1, dim)
-    cols = marginal_batch(circuit, np.concatenate([lam, clamped]).T).T
-    values = cols[:n_samples]
-    given = cols[n_samples:].reshape(n_samples, dim, dim)
-    # row t of each block is column t of J; the 2-norm ignores the transpose
-    Jt = values[:, :, None] * (given - values[:, None, :])
-    L_hat = float(np.linalg.norm(Jt, 2, axis=(1, 2)).max(initial=0.0))
+    values = np.empty_like(points)
+    L_hat = 0.0
+    step = max(1, _PROBE_COLUMNS // (dim + 1))
+    for start in range(0, n_samples, step):
+        chunk = lam[start : start + step]
+        n = len(chunk)
+        clamped = (chunk[:, None, :] * keep).reshape(-1, dim)
+        cols = marginal_batch(circuit, np.concatenate([chunk, clamped]).T).T
+        p, given = cols[:n], cols[n:].reshape(n, dim, dim)
+        values[start : start + n] = p
+        # row t of each block is column t of J; the 2-norm ignores the transpose
+        Jt = p[:, :, None] * (given - p[:, None, :])
+        L_hat = max(L_hat, float(np.linalg.norm(Jt, 2, axis=(1, 2)).max()))
 
     worst = 0.0
     ok = True

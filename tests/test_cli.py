@@ -298,11 +298,16 @@ class TestSpnCommands:
     def test_non_numeric_evidence_exits_2(self, capsys, files):
         path = files["root"] / "nonnumeric_lambda.json"
         # a negative entry is a semantic error, which also exits 2 for evidence
-        for x in (["one", 0.5], [{"a": 1}, 0.5], [-1.0, 0.5]):
-            path.write_text(json.dumps({"schema": "v1", "lambda": {"X": x, "Y": [1.0, 0.8]}}))
+        for x, problem in (
+            (["one", 0.5], "is not numeric"),
+            (["a", 1], "is not numeric"),
+            ([{"a": 1}, 0.5], "is not numeric"),
+            ([-1.0, 0.5], "must be finite and nonnegative"),
+        ):
+            path.write_text(json.dumps({"schema": "v1", "lambda": {"Y": [1.0, 0.8], "X": x}}))
             argv = ["spn", "marginals", "--circuit", files["circuit"], "--evidence", str(path)]
             assert main(argv) == 2
-            assert capsys.readouterr().err.startswith("error: bad input:")
+            assert capsys.readouterr().err.startswith(f"error: bad input: evidence for 'X' {problem}")
 
 
 class TestFgCommands:
@@ -426,6 +431,16 @@ class TestFgCommands:
             assert main(argv) == code
             assert capsys.readouterr().out == ""
 
+    def test_project_shape_must_be_whole_numbers(self, capsys, files):
+        argv = ["fg", "project", "--input", files["joint"], "--family", "diagonal", "--shape"]
+        assert main([*argv, "2.5,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad input: bad whole number 2.5")
+        code, rep = run_cli(capsys, *argv, "2.0,2")
+        assert code == 0
+        assert rep["outputs"]["projection"] == pytest.approx([0.4, 0.6])
+
 
 class TestDagCommands:
     def test_adjoints_logistic_point(self, capsys, files):
@@ -483,6 +498,17 @@ class TestDagCommands:
         )
         assert code == 2
 
+    def test_gauge_rejects_a_trial_count_below_one(self, capsys, files):
+        argv = [
+            "dag", "gauge", "--graph", files["logistic"], "--factor", "logistic:1:2",
+            "--at", "w=0.3,x=1.2", "--var", "m", "--trials",
+        ]
+        for trials in ("0", "-2"):
+            assert main([*argv, trials]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: validation failed: trial count")
+
 
 class TestPosteriorCommands:
     def test_grad_coin_closed_form(self, capsys, files):
@@ -503,6 +529,16 @@ class TestPosteriorCommands:
         assert code == 0
         assert rep["outputs"]["point_gradient"] == pytest.approx([1.0], abs=1e-12)
         assert rep["checks"]["dirac_limit"]["pass"]
+
+    def test_dirac_point_must_be_whole_numbers(self, capsys, files):
+        argv = ["posterior", "dirac", "--model", files["coin"], "--theta", "0.7", "--at"]
+        assert main([*argv, "0.7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad input: bad whole number 0.7")
+        code, rep = run_cli(capsys, *argv, "1.0")
+        assert code == 0
+        assert rep["outputs"]["point_gradient"] == pytest.approx([1.0], abs=1e-12)
 
     def test_non_numeric_grid_or_prior_exits_2(self, capsys, files):
         model = json.loads(Path(files["coin"]).read_text())
@@ -530,6 +566,13 @@ class TestOracleCompare:
             capsys, "oracle", "compare", "--kind", "posterior", "--count", "2"
         )
         assert code == 0 and rep["pass"]
+
+    def test_count_below_one_exits_3(self, capsys):
+        for count in ("0", "-3"):
+            assert main(["oracle", "compare", "--count", count]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: validation failed: instance count")
 
 
 class TestGen:

@@ -18,7 +18,6 @@ from klbp.compgraph import (
     phi_log,
     seed_score,
     slope_from_grid,
-    validate_dag,
 )
 from klbp.errors import SchemaError, ValidationError
 from klbp.generators import gen_dag
@@ -44,40 +43,34 @@ def sigmoid_product_graph():
 
 def test_validate_identity_graph():
     g = CompGraph([CompNode("x", "input")], "x")
-    assert validate_dag(g)["valid"]
+    assert forward_eval(g, {"x": 0.5}).values == {"x": 0.5}
 
 
 def test_validate_cycle():
     g = CompGraph(
         [CompNode("a", "sigmoid", ("b",)), CompNode("b", "sigmoid", ("a",))], "a"
     )
-    report = validate_dag(g)
-    assert not report["valid"]
-    assert not report["acyclic"]
     with pytest.raises(ValidationError, match="cycle"):
         g.topo_order()
-    with pytest.raises(ValidationError, match="cycle"):
+    with pytest.raises(ValidationError, match="^graph contains a cycle$"):
         forward_eval(g, {})
 
 
 def test_validate_rejects_non_smooth_op():
     g = CompGraph([CompNode("x", "input"), CompNode("r", "relu", ("x",))], "r")
-    report = validate_dag(g)
-    assert not report["valid"]
-    assert any("relu" in issue for issue in report["issues"])
-    # the report is computed once per graph; a caller's edits stay local
-    report["issues"].clear()
-    report["valid"] = True
-    assert validate_dag(g)["issues"] == ["node 'r': op 'relu' is not in the C1 primitive set"]
-    with pytest.raises(ValidationError, match="relu"):
-        forward_eval(g, {"x": 1.0})
+    for _ in range(2):  # the issues are found once per graph and raised every time
+        with pytest.raises(ValidationError) as info:
+            forward_eval(g, {"x": 1.0})
+        assert str(info.value) == "node 'r': op 'relu' is not in the C1 primitive set"
 
 
 def test_validate_arity_and_missing_value():
     g = CompGraph([CompNode("x", "input"), CompNode("s", "add", ("x",))], "s")
-    assert not validate_dag(g)["valid"]
+    with pytest.raises(ValidationError, match="^node 's': op 'add' takes 2 inputs, got 1$"):
+        forward_eval(g, {"x": 1.0})
     g2 = CompGraph([CompNode("x", "input"), CompNode("p", "pow", ("x",))], "p")
-    assert not validate_dag(g2)["valid"]
+    with pytest.raises(ValidationError, match="^node 'p': op 'pow' needs a value$"):
+        forward_eval(g2, {"x": 1.0})
 
 
 def test_construction_rejects_dangling_reference():

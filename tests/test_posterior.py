@@ -8,17 +8,15 @@ from klbp.budgets import BudgetError
 from klbp.compgraph import CompGraph, CompNode, ExpScale, NegLossTemp, forward_eval
 from klbp.errors import SchemaError, ValidationError
 from klbp.generators import gen_posterior
-from klbp.oracle import finite_diff_grad
+from klbp.oracle import finite_diff_grad, reference_gradient
 from klbp.posterior import (
     DiscretePriorModel,
     dirac_limit_check,
     marginal_likelihood,
     model_from_json,
     model_to_json,
-    posterior_factorized_marginals,
     posterior_grad_bp,
     posterior_grad_enum,
-    score_jacobians,
     score_tables,
 )
 from klbp.simplex import DistVec
@@ -89,9 +87,10 @@ class TestMarginalLikelihood:
         assert value == pytest.approx(1.5, abs=1e-12)
 
     def test_factorized_equals_enum(self):
+        # "auto" takes the per-variable product for an exponential likelihood
         for seed in range(10):
             model, theta = gen_posterior(seed, force_exp=True)
-            fac = marginal_likelihood(model, theta, method="factorized")
+            fac = marginal_likelihood(model, theta)
             enum = marginal_likelihood(model, theta, method="enum")
             assert fac == pytest.approx(enum, rel=1e-12)
 
@@ -111,8 +110,6 @@ class TestMarginalLikelihood:
         value = marginal_likelihood(model, np.array([1.0]))
         want = 0.5 * (math.exp(-0.125) + math.exp(-0.125))
         assert value == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValidationError, match="exponential"):
-            marginal_likelihood(model, np.array([1.0]), method="factorized")
 
     def test_budget_guard(self):
         grid = np.linspace(-1.0, 1.0, 40)
@@ -179,7 +176,7 @@ class TestGradMarginalRoute:
         model = coin_model(alpha=0.8)
         theta = np.array([0.4])
         z = score_tables(model, theta)[0]
-        jac = score_jacobians(model, theta)[0][:, 0]
+        jac = model.grids[0]  # z = a x, so dz/da = x
         p = model.priors[0].probs
         w = p * np.exp(0.8 * z)
         want = 0.8 * float((w / w.sum() * jac).sum())
@@ -192,12 +189,6 @@ class TestGradMarginalRoute:
         bp = posterior_grad_bp(model, theta)
         enum = posterior_grad_enum(model, theta)
         np.testing.assert_allclose(bp, enum, atol=1e-10)
-
-    def test_factorized_marginals_normalized(self):
-        model, theta = gen_posterior(3, force_exp=True)
-        for q in posterior_factorized_marginals(model, theta):
-            assert q.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(q > 0)
 
     def test_theta_free_score_zero_gradient(self):
         graph = CompGraph(
@@ -290,10 +281,13 @@ class TestDiracLimit:
         model, theta = gen_posterior(7, force_exp=True)
         x_star = tuple(0 for _ in range(model.m))
         _, right = dirac_limit_check(model, theta, x_star)
-        jacs = score_jacobians(model, theta)
-        direct = model.likelihood.alpha * sum(
-            jac[0] for jac in jacs
-        )
+        # dz_i/dtheta at grid point 0 from the oracle's reverse sweep, seeded with 1
+        at = dict(zip(model.theta, theta))
+        direct = np.zeros(len(model.theta))
+        for graph, grid in zip(model.graphs, model.grids):
+            adj = reference_gradient(graph, {**at, "x": grid[0]}, 1.0)
+            direct += [adj.get(name, 0.0) for name in model.theta]
+        direct *= model.likelihood.alpha
         np.testing.assert_allclose(right, direct, atol=1e-12)
 
     def test_off_grid_rejected(self):

@@ -6,7 +6,6 @@ import pytest
 
 from klbp import oracle
 
-from klbp.budgets import BudgetError
 from klbp.errors import SchemaError, ValidationError
 from klbp.generators import gen_spn
 from klbp.oracle import enumerate_spn_marginals, finite_diff_grad
@@ -26,7 +25,6 @@ from klbp.spn import (
     kkt_multipliers,
     marginal_arrays,
     marginal_batch,
-    unroll_circuit,
     upward_pass,
     upward_pass_log,
     validate_spn,
@@ -465,43 +463,6 @@ class TestGatesAndMultipliers:
         bad_edges[D.sched.edge_rows["P1", 0]] *= 2.0
         with pytest.raises(ValidationError, match="edge-multiplier"):
             kkt_multipliers(c, S, AdjointMap(D.sched, D.D, bad_edges))
-
-
-class TestUnroll:
-    def test_tree_returned_unchanged(self):
-        c = two_component_circuit()
-        assert c.is_tree()
-        assert unroll_circuit(c) is c
-
-    def test_shared_circuit_unrolls(self):
-        c, e = gen_spn(1, shared=True)
-        assert not c.is_tree()
-        tree = unroll_circuit(c)
-        assert tree.is_tree()
-        assert len(tree.nodes) >= len(c.nodes)
-        S_orig = upward_pass(c, e)
-        S_tree = upward_pass(tree, e)
-        assert S_tree.root_value(tree) == pytest.approx(
-            S_orig.root_value(c), rel=1e-12
-        )
-        D_orig = downward_pass(c, S_orig)
-        D_tree = downward_pass(tree, S_tree)
-        a = marginal_arrays(c, e, S_orig, D_orig)
-        b = marginal_arrays(tree, e, S_tree, D_tree)
-        for var in c.variable_order():
-            np.testing.assert_allclose(a[var], b[var], atol=1e-12)
-
-    def test_unroll_cap(self):
-        # doubling chain of sums: unrolled size blows past the cap
-        nodes = [SpnNode("base", "leaf", var="X", state=0)]
-        prev = "base"
-        for d in range(15):
-            nid = f"s{d}"
-            nodes.append(SpnNode(nid, "sum", (prev, prev), (0.5, 0.5)))
-            prev = nid
-        c = SpnCircuit(nodes, prev)
-        with pytest.raises(BudgetError, match="unroll"):
-            unroll_circuit(c)
 
 
 class TestJson:

@@ -14,7 +14,6 @@ from klbp.spn import (
     gate_report,
     marginal_arrays,
     marginal_batch,
-    unroll_circuit,
     upward_pass,
 )
 from klbp.spn_reduce import (
@@ -144,16 +143,10 @@ class TestFactorGraphBridge:
         np.testing.assert_allclose(bp["X"], [1.0], atol=1e-15)
         np.testing.assert_allclose(bp["Y"], [0.0, 1.0], atol=1e-15)
 
-    def test_shared_rejected_then_unroll_works(self):
+    def test_shared_rejected(self):
         c, e = gen_spn(2, shared=True)
         with pytest.raises(ValidationError, match="unroll"):
             spn_to_factor_graph(c, e)
-        tree = unroll_circuit(c)
-        fg = spn_to_factor_graph(tree, e)
-        bp = bp_beliefs(fg, bp_run_tree(fg))
-        arrays, _, _ = spn_marginals(c, e)
-        for v in c.variable_order():
-            np.testing.assert_allclose(bp[v], arrays[v], atol=1e-10)
 
     def test_default_evidence_is_ones(self):
         c = two_component_circuit()
@@ -348,6 +341,25 @@ class TestLipschitzProbe:
         dim = sum(c.cardinality(v) for v in c.variable_order())
         lipschitz_probe(c, (np.log(0.5), 0.0), 7, 0)
         assert widths == [7 * (dim + 1)]
+
+    def test_probe_batches_stay_under_the_chunk_bound_and_change_nothing(self, monkeypatch):
+        import klbp.spn_reduce as spn_reduce
+
+        widths = []
+
+        def recording(circuit, lam):
+            widths.append(np.shape(lam)[1])
+            return marginal_batch(circuit, lam)
+
+        monkeypatch.setattr(spn_reduce, "marginal_batch", recording)
+        c = two_component_circuit()
+        box = (np.log(0.5), 0.0)
+        chunked = lipschitz_probe(c, box, 1500, 2)
+        assert len(widths) > 1
+        assert max(widths) <= spn_reduce._PROBE_COLUMNS
+        monkeypatch.setattr(spn_reduce, "_PROBE_COLUMNS", 10**9)
+        assert lipschitz_probe(c, box, 1500, 2) == chunked  # bit for bit
+        assert widths[-1] == 1500 * 5
 
     def test_a_state_no_leaf_reads_stays_unclamped(self):
         # X has leaves for states 0 and 2 only; clamping X to 1 would leave
