@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -110,7 +111,10 @@ def _report(args, inputs: dict, outputs: dict, checks: dict) -> tuple[dict, bool
     )
 
 
-def _parse_at(text: str) -> dict:
+def _parse_at(text: str, graph) -> dict:
+    """Input point from ``name=value,...``; each name an input of ``graph``,
+    given at most once."""
+    inputs = set(graph.input_ids())
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -119,8 +123,13 @@ def _parse_at(text: str) -> dict:
         if "=" not in part:
             raise SchemaError(f"bad assignment {part!r}; expected name=value")
         name, value = part.split("=", 1)
+        name = name.strip()
+        if name not in inputs:
+            raise SchemaError(f"{name!r} is not an input of the graph")
+        if name in out:
+            raise SchemaError(f"input {name!r} is given more than once")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError as exc:
             raise SchemaError(f"bad value in {part!r}") from exc
     return out
@@ -433,7 +442,7 @@ def cmd_fg_wr(args):
 def cmd_dag_eval(args):
     obj, digest = _load_json(args.graph)
     graph = compgraph.graph_from_json(obj)
-    trace = compgraph.forward_eval(graph, _parse_at(args.at))
+    trace = compgraph.forward_eval(graph, _parse_at(args.at, graph))
     outputs = {"output": trace.values[graph.output], "values": dict(trace.values)}
     checks = {"finite": {"max_abs_error": 0.0, "tol": 0.0, "pass": True}}
     return _report(args, {args.graph: digest}, outputs, checks)
@@ -442,7 +451,7 @@ def cmd_dag_eval(args):
 def cmd_dag_adjoints(args):
     obj, digest = _load_json(args.graph)
     graph = compgraph.graph_from_json(obj)
-    at = _parse_at(args.at)
+    at = _parse_at(args.at, graph)
     factor = _parse_factor(args.factor)
     trace = compgraph.forward_eval(graph, at)
     adj = compgraph.backward_adjoints(graph, trace, factor)
@@ -476,7 +485,7 @@ def cmd_dag_gauge(args):
     _require_positive(args.trials, "trial count")
     obj, digest = _load_json(args.graph)
     graph = compgraph.graph_from_json(obj)
-    at = _parse_at(args.at)
+    at = _parse_at(args.at, graph)
     factor = _parse_factor(args.factor)
     trace = compgraph.forward_eval(graph, at)
     var = args.var
@@ -787,7 +796,12 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early; point it at devnull so that the
+            # flush at interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_INVALID
 

@@ -18,7 +18,8 @@ right projection and a left projection, with correction vectors sigma and
 tau in log coordinates) is parametrized by the Bregman generator: under
 negative entropy the updates are closed-form softmax/marginal operations;
 under a Mahalanobis metric the right projection onto products has no closed
-form and is solved by warm-started gradient descent in per-axis logits.
+form and is solved by warm-started exact Newton steps in per-axis logits,
+which raise rather than return a fit that misses its gradient test.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from .simplex import (
 )
 
 Array = np.ndarray
+
+# the quadratic scheme's product fit stops at max|grad| <= FIT_GRAD_TOL and
+# raises after FIT_MAX_STEPS Newton steps, accepted or rejected
+FIT_GRAD_TOL = 1e-14
+FIT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,14 +228,27 @@ def _product_marginal_factors(probs: Array, sizes: tuple[int, ...]) -> Array:
 
 def _fit_product(
     mat: Array, target: Array, sizes: tuple[int, ...], warm: Array | None
-) -> tuple[Array, Array]:
-    """Best product-form table under the quadratic metric, by descent.
+) -> tuple[Array, Array, float]:
+    """Best product-form table under the quadratic metric, by Newton steps.
 
-    Minimizes 1/2 (r(u) - v)^T A (r(u) - v) over per-axis logits u with
-    r(u) the outer product of softmaxes.  Returns (solution, logits).
+    Minimizes f(u) = 1/2 (r(u) - v)^T A (r(u) - v) over per-axis logits u
+    with r(u) the outer product of softmaxes p_a = softmax(u_a).  With
+    w = A (r - v) and E[x, (a, j)] = 1[x_a = j] - p_a[j], the gradient is
+    J^T w for J = r * E (rows scaled by r), and the exact Hessian is
+
+        J^T A J + E^T diag(w * r) E - (w . r) blockdiag_a(diag p_a - p_a p_a^T).
+
+    The residual r - v does not vanish at the optimum, so the second-order
+    terms are kept (Gauss-Newton alone converges only linearly).  Each step
+    solves (H + lam I) d = grad by least squares, which absorbs the
+    per-axis all-ones gauge direction; lam starts at 0 (a pure Newton step)
+    and grows tenfold while steps fail to lower f (Marquardt damping).  At
+    float granularity, where f no longer moves, a step counts as lowering f
+    if it shrinks the gradient.  Stops at max|grad| <= FIT_GRAD_TOL and
+    raises ValidationError after FIT_MAX_STEPS steps.  Returns (solution,
+    logits, final max|grad|).
     """
     n_axes = len(sizes)
-    dim = sum(sizes)
     if warm is not None:
         u = warm.copy()
     else:
@@ -240,52 +259,55 @@ def _fit_product(
             marg = clipped.sum(axis=other) if other else clipped
             pieces.append(np.log(marg / marg.sum()))
         u = np.concatenate(pieces)
+    # ind[x, (a, j)] = 1[x_a = j], with cells x in row-major order
+    cells = np.indices(sizes).reshape(n_axes, -1)
+    ind = np.hstack([np.eye(s)[c] for s, c in zip(sizes, cells)])
+    cuts = np.cumsum(sizes)[:-1]
 
-    def value_grad(u_vec: Array) -> tuple[float, Array, Array]:
-        parts = []
-        at = 0
-        for s in sizes:
-            parts.append(softmax(u_vec[at: at + s]))
-            at += s
+    def evaluate(u_vec: Array):
+        parts = [softmax(b) for b in np.split(u_vec, cuts)]
         full = parts[0]
         for p in parts[1:]:
             full = np.multiply.outer(full, p)
         r = full.reshape(-1)
         diff = r - target
-        val = float(0.5 * diff @ mat @ diff)
-        djdr = (mat @ diff).reshape(sizes)
-        grad = np.empty(dim)
-        at = 0
-        for axis in range(n_axes):
-            operands = [djdr, list(range(n_axes))]
-            for b in range(n_axes):
-                if b != axis:
-                    operands += (parts[b], [b])
-            h = np.einsum(*operands, [axis])
-            p = parts[axis]
-            grad[at: at + sizes[axis]] = p * (h - float(p @ h))
-            at += sizes[axis]
-        return val, grad, r
+        w = mat @ diff
+        e = ind - np.concatenate(parts)
+        jac = r[:, None] * e
+        return float(0.5 * diff @ w), jac.T @ w, (r, parts, w, e, jac)
 
-    val, grad, r = value_grad(u)
-    step = 1.0
-    for _ in range(2000):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= 1e-14:
-            break
-        moved = False
-        while step >= 1e-18:
-            trial = u - step * grad
-            tval, tgrad, tr = value_grad(trial)
-            if tval <= val - 1e-4 * step * float(grad @ grad):
-                u, val, grad, r = trial, tval, tgrad, tr
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        step = min(step * 1.5, 1e3)
-    return r, u
+    def hessian(r: Array, parts: list[Array], w: Array, e: Array, jac: Array) -> Array:
+        hess = jac.T @ mat @ jac + (e * (w * r)[:, None]).T @ e
+        wr, at = float(w @ r), 0
+        for p in parts:
+            block = slice(at, at + p.size)
+            hess[block, block] -= wr * (np.diag(p) - np.outer(p, p))
+            at += p.size
+        return hess
+
+    val, grad, point = evaluate(u)
+    gnorm = float(np.max(np.abs(grad)))
+    hess = hessian(*point)
+    lam = 0.0
+    for _ in range(FIT_MAX_STEPS):
+        if gnorm <= FIT_GRAD_TOL:
+            return point[0], u, gnorm
+        system = hess + lam * np.eye(u.size)
+        trial = u - np.linalg.lstsq(system, grad, rcond=None)[0]
+        tval, tgrad, tpoint = evaluate(trial)
+        tnorm = float(np.max(np.abs(tgrad)))
+        if tval < val or (tval <= val + 1e-15 * abs(val) and tnorm < gnorm):
+            u, val, grad, point, gnorm = trial, tval, tgrad, tpoint, tnorm
+            hess = hessian(*point)
+            lam *= 0.1
+        else:
+            lam = max(10.0 * lam, 1e-6 * float(np.max(np.abs(np.diag(hess)))))
+    if gnorm <= FIT_GRAD_TOL:
+        return point[0], u, gnorm
+    raise ValidationError(
+        f"quadratic product fit reached its cap of {FIT_MAX_STEPS} Newton steps "
+        f"at max|grad| = {gnorm:.3e}, above {FIT_GRAD_TOL:g}"
+    )
 
 
 def wr_step(space: ReplicatedSpace, gen: Generator, state: WrState) -> WrState:
@@ -346,7 +368,7 @@ def _wr_step_quadratic(
 
     theta_q = mat @ state.q
     v = np.linalg.solve(mat, theta_q + state.sigma)
-    k, logits_k = _fit_product(mat, v, space.ident_sizes, warm_k)
+    k, logits_k, _ = _fit_product(mat, v, space.ident_sizes, warm_k)
     sigma_new = theta_q + state.sigma - mat @ k
 
     w = np.linalg.solve(mat, mat @ k + state.tau)
@@ -359,7 +381,7 @@ def _wr_step_quadratic(
             "quadratic-scheme iterate left the interior; the symmetric "
             "variant assumes iterates stay strictly positive"
         )
-    q_new, logits_q = _fit_product(mat, r, space.ident_sizes, warm_q)
+    q_new, logits_q, _ = _fit_product(mat, r, space.ident_sizes, warm_q)
     tau_new = mat @ k + state.tau - mat @ q_new
     return WrState(
         "identified",

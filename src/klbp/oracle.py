@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the closed forms it is used
 to check: projections are found by seeded multi-start gradient descent in an
-interior parametrization, marginals by exhaustive enumeration, gradients by
-central finite differences and by a plain tape-based reverse sweep.  Slow is
-fine; these run at desk scale only.
+interior parametrization (the starts run together as one ``(starts, dim)``
+array, then finite-difference Newton steps polish each), marginals by
+exhaustive enumeration, gradients by central finite differences and by a
+plain tape-based reverse sweep.  These run at desk scale only.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import numpy as np
 
 from . import budgets
 from .errors import ValidationError
-from .simplex import (
-    DistVec,
-    Generator,
-    JointShape,
-    NegativeEntropy,
-    softmax,
-)
+from .simplex import DistVec, Generator, JointShape, NegativeEntropy
 
 Array = np.ndarray
 
@@ -71,40 +66,45 @@ def _diag_indices(shape: JointShape) -> Array:
     return np.arange(d) * int(sum(strides))
 
 
-def _dJ_dr_entropy(r: Array, q: Array, side: str) -> Array:
-    if side == "left":
-        return np.log(r) - np.log(q) + 1.0
-    return -q / r
+def _softmax_rows(u: Array) -> Array:
+    e = np.exp(u - u.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _dJ_dr_quad(mat: Array, r: Array, q: Array) -> Array:
-    return mat @ (r - q)
+def _rowdot(a: Array, b: Array) -> Array:
+    return np.einsum("...i,...i->...", a, b)
 
 
 class _Problem:
-    """Objective/gradient in an interior softmax parametrization."""
+    """Objective/gradient in an interior softmax parametrization.
+
+    The constraint kind and the generator are resolved once here; every
+    evaluation then takes a ``(rows, dim)`` stack of parameter vectors, one
+    row per start (or finite-difference bump), and returns ``(rows,)``
+    objective values and ``(rows, dim)`` gradients.
+    """
 
     def __init__(self, gen: Generator, spec: ConstraintSpec, q, side: str):
         if side not in ("left", "right"):
             raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-        self.gen = gen
-        self.spec = spec
         self.side = side
+        self.mat = None if isinstance(gen, NegativeEntropy) else gen.matrix
         if isinstance(spec, EqualCopies):
             if not isinstance(q, (list, tuple)) or len(q) != spec.count:
                 raise ValidationError(
                     f"EqualCopies({spec.count}) needs a list of {spec.count} tables"
                 )
-            self.targets = [np.asarray(t.probs, dtype=float) for t in q]
-            self.dim = self.targets[0].size
-            self.blocks = [np.arange(self.dim)]
+            self.kind = "copies"
+            self.targets = np.array([np.asarray(t.probs, dtype=float) for t in q])
+            self.dim = self.targets.shape[1]
             self.outcomes = q[0].outcomes
         elif isinstance(spec, DiagonalFace):
             spec.shape.check_length(q, what="numeric_projection")
-            if isinstance(gen, NegativeEntropy) and side == "right":
+            if self.mat is None and side == "right":
                 raise ValidationError(
                     "right KL projection onto a face of an interior point diverges"
                 )
+            self.kind = "diagonal"
             self.q_full = np.asarray(q.probs, dtype=float)
             self.diag_idx = _diag_indices(spec.shape)
             self.dim = spec.shape.sizes[0]
@@ -112,143 +112,145 @@ class _Problem:
             self.outcomes = tuple((t,) * k for t in range(self.dim))
         elif isinstance(spec, ProductFamily):
             spec.shape.check_length(q, what="numeric_projection")
+            self.kind = "product"
             self.q_full = np.asarray(q.probs, dtype=float)
             self.sizes = spec.shape.sizes
+            self.cuts = np.cumsum(self.sizes)[:-1]
             self.dim = sum(self.sizes)
             self.outcomes = q.outcomes
         else:
             raise ValidationError(f"unknown constraint spec {spec!r}")
 
-    # -- parameter vector u -> candidate point and objective gradient
+    # -- parameter stack u -> candidate points and objective gradients
 
     def split(self, u: Array) -> list[Array]:
-        if isinstance(self.spec, ProductFamily):
-            parts = []
-            at = 0
-            for s in self.sizes:
-                parts.append(softmax(u[at: at + s]))
-                at += s
-            return parts
-        return [softmax(u)]
+        if self.kind != "product":
+            return [_softmax_rows(u)]
+        return [_softmax_rows(b) for b in np.split(u, self.cuts, axis=-1)]
 
-    def value_grad(self, u: Array) -> tuple[float, Array]:
-        gen, side = self.gen, self.side
-        if isinstance(self.spec, EqualCopies):
-            p = softmax(u)
-            if isinstance(gen, NegativeEntropy):
-                if side == "left":
-                    val = sum(
-                        float(np.sum(p * (np.log(p) - np.log(t))))
-                        for t in self.targets
-                    )
-                    gamma = sum(
-                        _dJ_dr_entropy(p, t, "left") for t in self.targets
-                    )
-                else:
-                    val = sum(
-                        float(np.sum(t * (np.log(t) - np.log(p))))
-                        for t in self.targets
-                    )
-                    gamma = sum(
-                        _dJ_dr_entropy(p, t, "right") for t in self.targets
-                    )
-            else:
-                mat = gen.matrix
-                val = sum(
-                    float(0.5 * (p - t) @ mat @ (p - t)) for t in self.targets
-                )
-                gamma = sum(_dJ_dr_quad(mat, p, t) for t in self.targets)
-            gu = p * (gamma - float(p @ gamma))
-            return val, gu
+    def _joint(self, parts: list[Array]) -> Array:
+        """Outer product of per-axis factors, batch axis first (label 0)."""
+        operands = []
+        for axis, p in enumerate(parts):
+            operands += (p, [0, axis + 1])
+        return np.einsum(*operands, list(range(len(parts) + 1)))
 
-        if isinstance(self.spec, DiagonalFace):
-            p = softmax(u)
-            full = np.zeros_like(self.q_full)
-            full[self.diag_idx] = p
-            if isinstance(gen, NegativeEntropy):
-                qd = self.q_full[self.diag_idx]
-                val = float(np.sum(p * (np.log(p) - np.log(qd))))
-                gamma = _dJ_dr_entropy(p, qd, "left")
+    def value_grad(self, u: Array) -> tuple[Array, Array]:
+        if self.kind == "product":
+            return self._value_grad_product(u)
+        p = _softmax_rows(u)
+        if self.kind == "copies":
+            t = self.targets[None]
+            pp = p[:, None]
+            if self.mat is None and self.side == "left":
+                val = np.sum(pp * (np.log(pp) - np.log(t)), axis=(1, 2))
+                gamma = np.sum(np.log(pp) - np.log(t) + 1.0, axis=1)
+            elif self.mat is None:
+                val = np.sum(t * (np.log(t) - np.log(pp)), axis=(1, 2))
+                gamma = np.sum(-t / pp, axis=1)
             else:
-                mat = gen.matrix
-                val = float(0.5 * (full - self.q_full) @ mat @ (full - self.q_full))
-                gamma = (mat @ (full - self.q_full))[self.diag_idx]
-            gu = p * (gamma - float(p @ gamma))
-            return val, gu
-
-        # product family
-        parts = self.split(u)
-        full = parts[0]
-        for p in parts[1:]:
-            full = np.multiply.outer(full, p)
-        r = full.reshape(-1)
-        if isinstance(gen, NegativeEntropy):
-            if side == "left":
-                val = float(np.sum(r * (np.log(r) - np.log(self.q_full))))
-            else:
-                val = float(
-                    np.sum(self.q_full * (np.log(self.q_full) - np.log(r)))
-                )
-            djdr = _dJ_dr_entropy(r, self.q_full, side)
+                diff = pp - t
+                adiff = diff @ self.mat.T
+                val = 0.5 * np.sum(diff * adiff, axis=(1, 2))
+                gamma = np.sum(adiff, axis=1)
+        elif self.mat is None:  # diagonal face, left KL
+            qd = self.q_full[self.diag_idx]
+            val = np.sum(p * (np.log(p) - np.log(qd)), axis=1)
+            gamma = np.log(p) - np.log(qd) + 1.0
         else:
-            mat = gen.matrix
-            val = float(0.5 * (r - self.q_full) @ mat @ (r - self.q_full))
-            djdr = _dJ_dr_quad(mat, r, self.q_full)
-        grid = djdr.reshape(self.sizes)
-        n_axes = len(self.sizes)
-        letters = [chr(ord("a") + i) for i in range(n_axes)]
-        gu = np.empty(self.dim)
-        at = 0
-        for axis in range(n_axes):
-            operands = [grid]
-            subs = ["".join(letters)]
+            diff = np.zeros((u.shape[0], self.q_full.size))
+            diff[:, self.diag_idx] = p
+            diff -= self.q_full
+            adiff = diff @ self.mat.T
+            val = 0.5 * _rowdot(diff, adiff)
+            gamma = adiff[:, self.diag_idx]
+        return val, p * (gamma - _rowdot(p, gamma)[:, None])
+
+    def _value_grad_product(self, u: Array) -> tuple[Array, Array]:
+        parts = self.split(u)
+        rows = u.shape[0]
+        r = self._joint(parts).reshape(rows, -1)
+        q = self.q_full
+        if self.mat is None:
+            if self.side == "left":
+                val = np.sum(r * (np.log(r) - np.log(q)), axis=1)
+                djdr = np.log(r) - np.log(q) + 1.0
+            else:
+                val = np.sum(q * (np.log(q) - np.log(r)), axis=1)
+                djdr = -q / r
+        else:
+            diff = r - q
+            djdr = diff @ self.mat.T
+            val = 0.5 * _rowdot(diff, djdr)
+        n_axes = len(parts)
+        grid = (djdr.reshape(rows, *self.sizes), list(range(n_axes + 1)))
+        pieces = []
+        for axis, p in enumerate(parts):
+            operands = list(grid)
             for b in range(n_axes):
                 if b != axis:
-                    operands.append(parts[b])
-                    subs.append(letters[b])
-            h = np.einsum(",".join(subs) + "->" + letters[axis], *operands)
-            p = parts[axis]
-            gu[at: at + self.sizes[axis]] = p * (h - float(p @ h))
-            at += self.sizes[axis]
-        return val, gu
+                    operands += (parts[b], [0, b + 1])
+            h = np.einsum(*operands, [0, axis + 1])
+            pieces.append(p * (h - _rowdot(p, h)[:, None]))
+        return val, np.concatenate(pieces, axis=1)
 
     def finish(self, u: Array) -> DistVec:
-        parts = self.split(u)
-        if isinstance(self.spec, ProductFamily):
-            full = parts[0]
-            for p in parts[1:]:
-                full = np.multiply.outer(full, p)
-            return DistVec.from_weights(full.reshape(-1), self.outcomes)
-        return DistVec.from_weights(parts[0], self.outcomes)
+        parts = self.split(u[None])
+        if self.kind != "product":
+            return DistVec.from_weights(parts[0][0], self.outcomes)
+        return DistVec.from_weights(self._joint(parts).reshape(-1), self.outcomes)
 
 
 def _descend(problem: _Problem, u0: Array) -> Array:
+    """Armijo gradient descent, one row per start, all starts in lockstep.
+
+    Each row keeps its own step, flat-step count and stop flag and follows
+    the single-start rules exactly; within a backtracking search only the
+    rows still searching are evaluated again.
+    """
     u = u0.copy()
     val, grad = problem.value_grad(u)
-    step = 1.0
-    flat_count = 0
+    rows = u.shape[0]
+    step = np.ones(rows)
+    flat_count = np.zeros(rows, dtype=int)
+    live = np.ones(rows, dtype=bool)
     for _ in range(MAX_DESCENT_STEPS):
-        if float(np.max(np.abs(grad))) <= 1e-12:
+        live &= np.max(np.abs(grad), axis=1) > 1e-12
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             return u
-        while True:
-            trial = u - step * grad
+        slope = 1e-4 * _rowdot(grad[idx], grad[idx])
+        searching = np.arange(idx.size)
+        new_val = np.empty(idx.size)
+        new_u = np.empty((idx.size, u.shape[1]))
+        new_grad = np.empty_like(new_u)
+        moved = np.zeros(idx.size, dtype=bool)
+        while searching.size:
+            rows_s = idx[searching]
+            trial = u[rows_s] - step[rows_s, None] * grad[rows_s]
             tval, tgrad = problem.value_grad(trial)
-            if tval <= val - 1e-4 * step * float(grad @ grad):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return u  # no descent direction left at float precision
-        if abs(val - tval) <= DESCENT_TOL * max(1.0, abs(val)):
-            flat_count += 1
-        else:
-            flat_count = 0
-        u, val, grad = trial, tval, tgrad
-        step = min(step * 1.3, 1e3)
-        if flat_count >= 5:
-            return u
-    raise ValidationError(
-        f"numeric projection did not converge within {MAX_DESCENT_STEPS} steps"
-    )
+            ok = tval <= val[rows_s] - step[rows_s] * slope[searching]
+            hit = searching[ok]
+            new_u[hit], new_val[hit], new_grad[hit] = trial[ok], tval[ok], tgrad[ok]
+            moved[hit] = True
+            searching = searching[~ok]
+            step[idx[searching]] *= 0.5
+            # no descent direction left at float precision: the row stops
+            stalled = step[idx[searching]] < 1e-18
+            live[idx[searching[stalled]]] = False
+            searching = searching[~stalled]
+        at = idx[moved]
+        tval = new_val[moved]
+        flat = np.abs(val[at] - tval) <= DESCENT_TOL * np.maximum(1.0, np.abs(val[at]))
+        flat_count[at] = np.where(flat, flat_count[at] + 1, 0)
+        u[at], val[at], grad[at] = new_u[moved], tval, new_grad[moved]
+        step[at] = np.minimum(step[at] * 1.3, 1e3)
+        live[at[flat_count[at] >= 5]] = False
+    if live.any():
+        raise ValidationError(
+            f"numeric projection did not converge within {MAX_DESCENT_STEPS} steps"
+        )
+    return u
 
 
 def _polish(problem: _Problem, u: Array, rounds: int = 8) -> Array:
@@ -257,38 +259,47 @@ def _polish(problem: _Problem, u: Array, rounds: int = 8) -> Array:
     Gradient descent plateaus once objective changes hit float granularity,
     leaving parameter errors around sqrt(eps); a few damped Newton steps
     (Hessian by central differences of the analytic gradient, pseudo-inverse
-    to absorb the softmax gauge direction) push the iterate to machine-level
-    stationarity.  Falls back to the incoming point whenever a step fails
-    to improve the objective.
+    to absorb the softmax gauge direction) push each start to machine-level
+    stationarity.  All live starts share one evaluation of their stacked
+    +-h bumps per round, and one batched backtracking search.  A start keeps
+    its incoming point, and stops, whenever its step fails to improve the
+    objective.
     """
+    u = u.copy()
     val, grad = problem.value_grad(u)
-    n = u.size
+    n = u.shape[1]
     h = 1e-6
+    bumps = np.concatenate([h * np.eye(n), -h * np.eye(n)])
+    live = np.ones(u.shape[0], dtype=bool)
     for _ in range(rounds):
-        if float(np.max(np.abs(grad))) <= 1e-13:
+        live &= np.max(np.abs(grad), axis=1) > 1e-13
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        hess = np.empty((n, n))
-        for j in range(n):
-            bump = np.zeros(n)
-            bump[j] = h
-            _, gp = problem.value_grad(u + bump)
-            _, gm = problem.value_grad(u - bump)
-            hess[:, j] = (gp - gm) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-        direction, *_ = np.linalg.lstsq(hess, grad, rcond=1e-10)
-        if not np.all(np.isfinite(direction)):
-            break
-        alpha = 1.0
-        improved = False
-        while alpha >= 1e-4:
-            tval, tgrad = problem.value_grad(u - alpha * direction)
-            if np.isfinite(tval) and tval <= val + 1e-14 * max(1.0, abs(val)):
-                u, val, grad = u - alpha * direction, tval, tgrad
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
+        _, g = problem.value_grad((u[idx, None, :] + bumps).reshape(-1, n))
+        g = g.reshape(idx.size, 2, n, n)
+        hess = np.swapaxes(g[:, 0] - g[:, 1], 1, 2) / (2.0 * h)
+        hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+        direction = np.array(
+            [np.linalg.lstsq(hm, grad[i], rcond=1e-10)[0] for hm, i in zip(hess, idx)]
+        )
+        finite = np.all(np.isfinite(direction), axis=1)
+        live[idx[~finite]] = False
+        searching, direction = idx[finite], direction[finite]
+        alpha = np.ones(searching.size)
+        while searching.size:
+            trial = u[searching] - alpha[:, None] * direction
+            tval, tgrad = problem.value_grad(trial)
+            ok = np.isfinite(tval) & (
+                tval <= val[searching] + 1e-14 * np.maximum(1.0, np.abs(val[searching]))
+            )
+            hit = searching[ok]
+            u[hit], val[hit], grad[hit] = trial[ok], tval[ok], tgrad[ok]
+            alpha = alpha[~ok] * 0.5
+            searching, direction = searching[~ok], direction[~ok]
+            failed = alpha < 1e-4
+            live[searching[failed]] = False
+            searching, direction, alpha = searching[~failed], direction[~failed], alpha[~failed]
     return u
 
 
@@ -305,23 +316,27 @@ def numeric_projection(
 
     ``side='left'`` minimizes D(r, q) over r in the set, ``side='right'``
     minimizes D(q, r).  Runs ``N_STARTS`` seeded starts (the first from the
-    uniform point) and returns the best solution as a DistVec -- or, with
-    ``return_all``, the pair (best, per-start list) for uniqueness checks.
+    uniform point) as one batched descent and returns the best solution as a
+    DistVec -- or, with ``return_all``, the pair (best, per-start list) for
+    uniqueness checks.
     """
     problem = _Problem(gen, spec, q, side)
     if problem.dim > 64:
         raise ValidationError(
             f"numeric projection limited to 64 parameters, got {problem.dim}"
         )
+    if problem.kind == "product" and len(problem.sizes) > 51:
+        # einsum has 52 axis labels, and the batch of starts takes one
+        raise ValidationError(
+            f"numeric projection limited to 51 product axes, got {len(problem.sizes)}"
+        )
     rng = np.random.default_rng(seed)
-    solutions = []
-    values = []
-    for start in range(N_STARTS):
-        u0 = np.zeros(problem.dim) if start == 0 else rng.standard_normal(problem.dim)
-        u = _polish(problem, _descend(problem, u0))
-        val, _ = problem.value_grad(u)
-        solutions.append(problem.finish(u))
-        values.append(val)
+    u0 = np.zeros((N_STARTS, problem.dim))
+    for start in range(1, N_STARTS):
+        u0[start] = rng.standard_normal(problem.dim)
+    u = _polish(problem, _descend(problem, u0))
+    values, _ = problem.value_grad(u)
+    solutions = [problem.finish(row) for row in u]
     best = solutions[int(np.argmin(values))]
     if return_all:
         return best, solutions

@@ -498,6 +498,18 @@ class TestDagCommands:
         )
         assert code == 2
 
+    def test_repeated_input_name_exits_2(self, capsys, files):
+        code = main(["dag", "eval", "--graph", files["logistic"], "--at", "w=1,w=0.7,x=1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: bad input: input 'w' is given more than once\n"
+
+    def test_unknown_input_name_exits_2(self, capsys, files):
+        code = main(["dag", "eval", "--graph", files["logistic"], "--at", "w=0,x=1,zz=3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: bad input: 'zz' is not an input of the graph\n"
+
     def test_gauge_rejects_a_trial_count_below_one(self, capsys, files):
         argv = [
             "dag", "gauge", "--graph", files["logistic"], "--factor", "logistic:1:2",
@@ -620,6 +632,18 @@ class TestReportPlumbing:
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert a == b
         assert b"wall_time" not in a  # timing stays on stderr
+
+    def test_closed_stdout_keeps_the_report_exit_code(self, files):
+        cmd = [
+            sys.executable, "-m", "klbp.cli", "dag", "eval",
+            "--graph", files["logistic"], "--at", "w=0,x=1",
+        ]
+        child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()  # the child is still importing numpy here
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+        assert err.startswith(b"wall_time_s=")
 
     def test_out_redirects_report(self, capsys, files):
         dest = files["root"] / "report.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from klbp import generators, lift
 from klbp.errors import BudgetError, ValidationError
 from klbp.factorgraph import Factor, FactorGraph, Variable, bp_beliefs, bp_run, bp_run_tree
 from klbp.lift import (
@@ -308,6 +309,32 @@ def test_quadratic_scheme_random_metric():
     metric = Mahalanobis(base @ base.T + space.ident_size * np.eye(space.ident_size))
     run = wr_run(space, metric, tol=1e-8, max_iters=5000)
     assert run.converged
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_product_fit_meets_its_gradient_test(seed, monkeypatch):
+    fit, norms = lift._fit_product, []
+
+    def recorded(*args):
+        out = fit(*args)
+        norms.append(out[2])
+        return out
+
+    monkeypatch.setattr(lift, "_fit_product", recorded)
+    space = replicate_lift(generators.gen_fg(seed, kind="cycle"))
+    n = space.ident_size
+    base = np.random.default_rng(seed).standard_normal((n, n))
+    for metric in (np.eye(n), base @ base.T + n * np.eye(n)):
+        assert wr_run(space, Mahalanobis(metric), tol=1e-8, max_iters=5000).converged
+    assert len(norms) >= 8
+    assert lift.FIT_GRAD_TOL == 1e-14 and max(norms) <= 1e-14
+
+
+def test_product_fit_raises_at_its_step_cap(monkeypatch):
+    monkeypatch.setattr(lift, "FIT_MAX_STEPS", 1)
+    space = replicate_lift(generators.gen_fg(1, kind="cycle"))
+    with pytest.raises(ValidationError, match=r"cap of 1 Newton steps at max\|grad\| = "):
+        wr_run(space, Mahalanobis(np.eye(space.ident_size)))
 
 
 def test_quadratic_metric_dimension_checked():

@@ -135,3 +135,67 @@ def test_finite_diff_matches_analytic():
     grad = finite_diff_grad(f, x)
     expect = np.array([2 * 1.5 + 2.0, np.exp(-0.3), 1.5])
     np.testing.assert_allclose(grad, expect, rtol=1e-8)
+
+
+def test_quadratic_equal_copies_left_is_arithmetic_mean():
+    # sum_t 1/2 |p - t|^2 is least at the mean, which lies on the simplex
+    rng = np.random.default_rng(73)
+    for n_tables, d in ((2, 3), (3, 4), (4, 2)):
+        tables = [rand_joint(rng, (d,)) for _ in range(n_tables)]
+        mean = np.mean([t.probs for t in tables], axis=0)
+        numeric = numeric_projection(
+            Mahalanobis(np.eye(d)), EqualCopies(n_tables), tables, "left"
+        )
+        np.testing.assert_allclose(numeric.probs, mean, atol=1e-6)
+
+
+def test_quadratic_product_family_keeps_a_product_target():
+    rng = np.random.default_rng(79)
+    for sizes in ((2, 2), (2, 3), (3, 2, 2)):
+        factors = [rng.uniform(0.2, 1.0, s) for s in sizes]
+        joint = factors[0] / factors[0].sum()
+        for f in factors[1:]:
+            joint = np.multiply.outer(joint, f / f.sum())
+        q = DistVec(joint.reshape(-1), joint_outcomes(sizes))
+        n = q.probs.size
+        base = rng.standard_normal((n, n))
+        for mat in (np.eye(n), base @ base.T + n * np.eye(n)):
+            numeric = numeric_projection(
+                Mahalanobis(mat), ProductFamily(JointShape(sizes)), q, "left"
+            )
+            np.testing.assert_allclose(numeric.probs, q.probs, atol=1e-6)
+
+
+def test_mean_field_starts_are_stationary_and_agree():
+    # left KL onto products: each start's factors must satisfy the
+    # mean-field fixed point p_a(j) ~ exp(E[log q | x_a = j]) under the
+    # other factors
+    rng = np.random.default_rng(83)
+    for sizes in ((2, 2), (2, 3), (3, 2, 2)):
+        q = rand_joint(rng, sizes)
+        log_q = np.log(q.probs).reshape(sizes)
+        best, starts = numeric_projection(
+            ENTROPY, ProductFamily(JointShape(sizes)), q, "left", return_all=True
+        )
+        assert len(starts) == 8
+        for sol in starts:
+            np.testing.assert_allclose(sol.probs, best.probs, atol=1e-8)
+            grid = sol.probs.reshape(sizes)
+            axes = range(len(sizes))
+            parts = [grid.sum(axis=tuple(b for b in axes if b != a)) for a in axes]
+            for a in axes:
+                weight = np.ones(())
+                for b in axes:
+                    weight = np.multiply.outer(weight, np.ones(sizes[b]) if b == a else parts[b])
+                expect = np.sum(weight * log_q, axis=tuple(b for b in axes if b != a))
+                update = np.exp(expect - expect.max())
+                np.testing.assert_allclose(parts[a], update / update.sum(), atol=1e-6)
+
+
+def test_product_family_axis_limit():
+    q = DistVec(np.array([1.0]), joint_outcomes((1,) * 52))
+    with pytest.raises(ValidationError, match="limited to 51 product axes, got 52"):
+        numeric_projection(ENTROPY, ProductFamily(JointShape((1,) * 52)), q, "left")
+    q = DistVec(np.array([1.0]), joint_outcomes((1,) * 51))
+    best = numeric_projection(ENTROPY, ProductFamily(JointShape((1,) * 51)), q, "left")
+    np.testing.assert_allclose(best.probs, [1.0])
