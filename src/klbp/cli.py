@@ -7,8 +7,15 @@ so identical inputs always produce identical bytes.  Non-finite floats are
 written as the strings "inf", "-inf" and "nan", so every report is strict
 JSON.  Wall time goes to stderr, keeping the report byte-stable.
 
-Exit codes: 0 all checks pass; 1 missing file; 2 malformed input (schema);
-3 structural validation failure or failed check.
+Each engine-vs-oracle comparison is computed by one function, which both
+its subcommand and ``oracle compare`` call, so the two report the same
+error for the same instance.  The parser is one table of commands.
+
+Exit codes: 0 all checks pass; 1 missing file; 2 malformed input (schema)
+or command line, including a negative ``--seed`` and ``fg project`` without
+``--shape`` for the diagonal and product families; 3 structural validation
+failure or failed check, including a count too small for its check
+(``--count`` and ``--trials`` below 1, ``--samples`` below 2).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -57,7 +65,7 @@ def _emit(obj, parts: list) -> None:
         parts.append(format(x, ".17g") if math.isfinite(x) else f'"{x}"')
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         parts.append("{")
         for i, key in enumerate(sorted(obj, key=str)):
             if i:
@@ -77,38 +85,29 @@ def _emit(obj, parts: list) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_json(path: str) -> tuple[dict, str]:
+def _load(args, path: str, parse=lambda obj: obj):
+    """The JSON file at ``path`` through ``parse``; its sha256 goes to the
+    report's inputs."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    args._inputs[path] = hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw.decode("utf-8")), digest
+        obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    return parse(obj)
 
 
-def _check(value: float, tol: float) -> dict:
-    value = float(value)
-    return {"max_abs_error": value, "tol": tol, "pass": bool(value <= tol)}
+def _check(error: float, tol: float, ok: bool | None = None) -> dict:
+    """A report check of ``error`` against ``tol``; ``ok``, when given, is the
+    verdict in place of ``error <= tol``."""
+    error = float(error)
+    return {"max_abs_error": error, "tol": tol, "pass": bool(error <= tol if ok is None else ok)}
 
 
-def _passed(checks: dict) -> bool:
-    return all(entry["pass"] for entry in checks.values())
-
-
-def _report(args, inputs: dict, outputs: dict, checks: dict) -> tuple[dict, bool]:
-    ok = _passed(checks)
-    return (
-        {
-            "schema": "v1",
-            "command": args._echo,
-            "inputs": inputs,
-            "outputs": outputs,
-            "checks": checks,
-            "pass": ok,
-        },
-        ok,
-    )
+def _max_gap(got: dict, want: dict) -> float:
+    """Largest absolute entry gap between matching arrays, over ``got``'s keys."""
+    return max(float(np.abs(got[k] - want[k]).max()) for k in got)
 
 
 def _parse_at(text: str, graph) -> dict:
@@ -168,98 +167,111 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in values]
 
 
-def _require_positive(count: int, what: str) -> None:
-    if count < 1:
-        raise ValidationError(f"{what} must be at least 1, got {count}")
+def _require_count(count: int, least: int, what: str) -> None:
+    if count < least:
+        raise ValidationError(f"{what} must be at least {least}, got {count}")
 
 
 def _load_circuit_evidence(args) -> tuple:
-    cobj, cdig = _load_json(args.circuit)
-    circuit = spn.circuit_from_json(cobj)
-    inputs = {args.circuit: cdig}
-    if getattr(args, "evidence", None):
-        eobj, edig = _load_json(args.evidence)
-        evidence = spn.evidence_from_json(eobj)
-        inputs[args.evidence] = edig
+    circuit = _load(args, args.circuit, spn.circuit_from_json)
+    if args.evidence:
+        evidence = _load(args, args.evidence, spn.evidence_from_json)
     else:
         evidence = spn.all_ones_evidence(circuit)
-    return circuit, evidence, inputs
+    return circuit, evidence
+
+
+# ---------------------------------------------- engine-vs-oracle comparisons
+
+
+def _spn_marginals(circuit, evidence) -> tuple:
+    """Both passes, the marginals, and their largest gap to enumeration."""
+    S = spn.upward_pass(circuit, evidence)
+    D = spn.downward_pass(circuit, S)
+    arrays = spn.marginal_arrays(circuit, evidence, S, D)
+    return S, D, arrays, _max_gap(arrays, oracle.enumerate_spn_marginals(circuit, evidence))
+
+
+def _two_pass_beliefs(fg) -> tuple[dict, float]:
+    """Two-pass BP beliefs on a forest and their largest gap to enumeration."""
+    beliefs = factorgraph.bp_beliefs(fg, factorgraph.bp_run_tree(fg))
+    return beliefs, _max_gap(beliefs, oracle.enumerate_fg_marginals(fg))
+
+
+def _adjoints(graph, at: dict, factor) -> tuple[dict, float]:
+    """Output, seed and adjoints at ``at``, and the adjoints' largest gap to
+    the oracle's independent accumulator."""
+    trace = compgraph.forward_eval(graph, at)
+    adj = compgraph.backward_adjoints(graph, trace, factor)
+    seed = compgraph.seed_score(factor, trace.values[graph.output])
+    ref = oracle.reference_gradient(graph, at, seed)
+    outputs = {"output": trace.values[graph.output], "seed": seed, "adjoints": adj}
+    return outputs, max(abs(adj[nid] - ref[nid]) for nid in ref)
+
+
+def _enum_gradient(model, theta) -> tuple:
+    """The enumerated log-evidence gradient and its largest relative gap to
+    finite differences."""
+    grad = posterior.posterior_grad_enum(model, theta)
+
+    def log_ml(t):
+        return float(np.log(posterior.marginal_likelihood(model, t, method="enum")))
+
+    fd = oracle.finite_diff_grad(log_ml, theta)
+    return grad, max((abs(g - f) / max(1.0, abs(f)) for g, f in zip(grad, fd)), default=0.0)
+
+
+def _dirac_limit(model, theta, x_star: tuple) -> tuple[dict, float]:
+    """Both sides of the Dirac-limit identity at ``x_star`` and their largest gap."""
+    left, right = posterior.dirac_limit_check(model, theta, x_star)
+    gap = float(np.abs(left - right).max()) if len(left) else 0.0
+    return {"point_gradient": left, "adjoint_composition": right}, gap
 
 
 # ------------------------------------------------------------ spn commands
 
 
 def cmd_spn_validate(args):
-    obj, digest = _load_json(args.circuit)
-    circuit = spn.circuit_from_json(obj)
-    report = spn.validate_spn(circuit)
-    checks = {"structure": {"max_abs_error": 0.0, "tol": 0.0, "pass": report["valid"]}}
-    outputs = {k: v for k, v in report.items() if k != "scopes"}
-    outputs["scopes"] = {nid: list(sc) for nid, sc in report["scopes"].items()}
-    outputs["completeness"] = [list(v) for v in outputs["completeness"]]
-    outputs["decomposability"] = [list(v) for v in outputs["decomposability"]]
-    outputs["positivity"] = [list(v) for v in outputs["positivity"]]
-    return _report(args, {args.circuit: digest}, outputs, checks)
+    report = spn.validate_spn(_load(args, args.circuit, spn.circuit_from_json))
+    return report, {"structure": _check(0.0, 0.0, report["valid"])}
 
 
 def cmd_spn_eval(args):
-    circuit, evidence, inputs = _load_circuit_evidence(args)
+    circuit, evidence = _load_circuit_evidence(args)
     S = spn.upward_pass(circuit, evidence)
     logs = spn.upward_pass_log(circuit, evidence, check=False)
     root = S.root_value(circuit)
     rel = abs(np.exp(logs[circuit.root]) - root) / max(1.0, abs(root))
-    outputs = {
-        "value": root,
-        "log_value": logs[circuit.root],
-        "node_values": {nid: S.values[nid] for nid in circuit.topo()},
-    }
-    return _report(args, inputs, outputs, {"log_linear_agreement": _check(rel, 1e-9)})
+    outputs = {"value": root, "log_value": logs[circuit.root], "node_values": S.values}
+    return outputs, {"log_linear_agreement": _check(rel, 1e-9)}
 
 
 def cmd_spn_marginals(args):
-    circuit, evidence, inputs = _load_circuit_evidence(args)
-    S = spn.upward_pass(circuit, evidence)
-    D = spn.downward_pass(circuit, S)
-    arrays = spn.marginal_arrays(circuit, evidence, S, D)
-    enum = oracle.enumerate_spn_marginals(circuit, evidence)
-    gap = max(
-        float(np.abs(arrays[v] - enum[v]).max()) for v in circuit.variable_order()
-    )
-    outputs = {
-        "value": S.root_value(circuit),
-        "marginals": {v: arrays[v] for v in circuit.variable_order()},
-    }
-    return _report(args, inputs, outputs, {"oracle_marginals": _check(gap, 1e-10)})
+    circuit, evidence = _load_circuit_evidence(args)
+    S, _, arrays, gap = _spn_marginals(circuit, evidence)
+    outputs = {"value": S.root_value(circuit), "marginals": arrays}
+    return outputs, {"oracle_marginals": _check(gap, 1e-10)}
 
 
 def cmd_spn_gates(args):
-    circuit, evidence, inputs = _load_circuit_evidence(args)
+    circuit, evidence = _load_circuit_evidence(args)
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
     gates = spn.gate_report(circuit, S, D)
-    norm_gap = 0.0
-    glob_gap = 0.0
-    outputs = {}
-    for nid, gate in gates.items():
-        norm_gap = max(norm_gap, abs(float(gate["b"].sum()) - 1.0))
-        glob_gap = max(
-            glob_gap, float(np.abs(gate["global"] - gate["pi"] * gate["b"]).max())
-        )
-        outputs[nid] = {
-            "children": list(gate["children"]),
-            "b": gate["b"],
-            "pi": gate["pi"],
-            "global": gate["global"],
-        }
+    norm_gap = max((abs(float(g["b"].sum()) - 1.0) for g in gates.values()), default=0.0)
+    glob_gap = max(
+        (float(np.abs(g["global"] - g["pi"] * g["b"]).max()) for g in gates.values()),
+        default=0.0,
+    )
     checks = {
         "local_normalization": _check(norm_gap, 1e-12),
         "global_factorization": _check(glob_gap, 1e-12),
     }
-    return _report(args, inputs, {"gates": outputs}, checks)
+    return {"gates": gates}, checks
 
 
 def cmd_spn_kkt(args):
-    circuit, evidence, inputs = _load_circuit_evidence(args)
+    circuit, evidence = _load_circuit_evidence(args)
     if not evidence.is_soft():
         raise ValidationError("multiplier extraction needs soft (positive) evidence")
     S = spn.upward_pass(circuit, evidence)
@@ -272,24 +284,20 @@ def cmd_spn_kkt(args):
         "mu": {f"{pid}[{pos}]": val for (pid, pos), val in kkt["mu"].items()},
     }
     checks = {
-        "pi_in_unit_interval": {"max_abs_error": 0.0, "tol": 0.0, "pass": pi_ok},
-        "mu_positive": {"max_abs_error": 0.0, "tol": 0.0, "pass": mu_ok},
+        "pi_in_unit_interval": _check(0.0, 0.0, pi_ok),
+        "mu_positive": _check(0.0, 0.0, mu_ok),
     }
-    return _report(args, inputs, outputs, checks)
+    return outputs, checks
 
 
 def cmd_spn_region(args):
-    circuit, evidence, inputs = _load_circuit_evidence(args)
+    circuit, evidence = _load_circuit_evidence(args)
     fam = spn_reduce.region_two_step(circuit, evidence)
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
-    arrays = spn.marginal_arrays(circuit, evidence, S, D)
-    gap = max(
-        float(np.abs(fam.var_marginals[v] - arrays[v]).max())
-        for v in circuit.variable_order()
-    )
+    gap = _max_gap(fam.var_marginals, spn.marginal_arrays(circuit, evidence, S, D))
     outputs = {
-        "marginals": {v: fam.var_marginals[v] for v in circuit.variable_order()},
+        "marginals": fam.var_marginals,
         "regions": {
             ",".join(scope): {
                 "members": fam.groups[scope],
@@ -299,115 +307,80 @@ def cmd_spn_region(args):
             for scope in fam.scopes
         },
     }
-    return _report(args, inputs, outputs, {"beliefs_agree": _check(gap, 1e-10)})
+    return outputs, {"beliefs_agree": _check(gap, 1e-10)}
 
 
 def cmd_spn_lipschitz(args):
-    circuit, evidence, inputs = _load_circuit_evidence(args)
+    # fewer than two samples make no pair, so the bound would pass unchecked
+    _require_count(args.samples, 2, "sample count")
+    circuit, evidence = _load_circuit_evidence(args)
     report = spn_reduce.lipschitz_probe(
         circuit, (args.lo, args.hi), args.samples, args.seed
     )
     checks = {
-        "pair_bound": {
-            "max_abs_error": report["worst_pair_ratio"],
-            "tol": 1.05,
-            "pass": report["all_pairs_ok"],
-        }
+        "pair_bound": _check(report["worst_pair_ratio"], 1.05, report["all_pairs_ok"])
     }
-    return _report(args, inputs, report, checks)
+    return report, checks
 
 
 # ------------------------------------------------------------- fg commands
 
 
 def cmd_fg_bp(args):
-    obj, digest = _load_json(args.graph)
-    fg = factorgraph.fg_from_json(obj)
-    inputs = {args.graph: digest}
+    fg = _load(args, args.graph, factorgraph.fg_from_json)
     if fg.is_forest():
-        state = factorgraph.bp_run_tree(fg)
-        beliefs = factorgraph.bp_beliefs(fg, state)
-        enum = oracle.enumerate_fg_marginals(fg)
-        gap = max(
-            float(np.abs(beliefs[v.id] - enum[v.id]).max()) for v in fg.variables
-        )
-        outputs = {"beliefs": {v.id: beliefs[v.id] for v in fg.variables},
-                   "schedule": "two-pass"}
-        return _report(args, inputs, outputs, {"oracle_marginals": _check(gap, 1e-10)})
+        beliefs, gap = _two_pass_beliefs(fg)
+        outputs = {"beliefs": beliefs, "schedule": "two-pass"}
+        return outputs, {"oracle_marginals": _check(gap, 1e-10)}
     result = factorgraph.bp_run(
         fg, damping=args.damping, tol=args.tol, max_sweeps=args.max_sweeps
     )
-    beliefs = factorgraph.bp_beliefs(fg, result.state)
     resweep = factorgraph.bp_sweep(fg, result.state, damping=0.0)
     residual = factorgraph.message_delta(result.state, resweep)
     outputs = {
-        "beliefs": {v.id: beliefs[v.id] for v in fg.variables},
+        "beliefs": factorgraph.bp_beliefs(fg, result.state),
         "schedule": "damped-sync",
         "sweeps": result.sweeps,
         "delta": result.delta,
     }
     checks = {
-        "converged": {
-            "max_abs_error": result.delta,
-            "tol": args.tol,
-            "pass": result.converged,
-        },
+        "converged": _check(result.delta, args.tol, result.converged),
         "fixed_point": _check(residual, max(10 * args.tol, 1e-9)),
     }
-    return _report(args, inputs, outputs, checks)
+    return outputs, checks
 
 
 def cmd_fg_project(args):
-    obj, digest = _load_json(args.input)
-    inputs = {args.input: digest}
+    if args.family != "copies" and not args.shape:
+        raise SchemaError(f"--shape is required for the {args.family} family")
+    obj = _load(args, args.input)
     if args.family == "copies":
         if "dists" not in obj:
             raise SchemaError("consensus input needs a 'dists' list")
-        tables = [simplex.DistVec.from_json(d) for d in obj["dists"]]
-        closed = simplex.consensus_geomean(tables)
-        numeric = oracle.numeric_projection(
-            simplex.NegativeEntropy(),
-            oracle.EqualCopies(len(tables)),
-            tables,
-            "left",
-            seed=args.seed,
-        )
-        gap = float(np.abs(closed.probs - numeric.probs).max())
-        outputs = {"projection": closed.probs}
-        return _report(args, inputs, outputs, {"oracle_projection": _check(gap, 1e-6)})
-    dist = simplex.DistVec.from_json(obj)
-    sizes = tuple(_parse_ints(args.shape))
-    if args.family == "diagonal":
-        shape = simplex.JointShape(sizes, (tuple(range(len(sizes))),))
-        closed = simplex.i_project_diagonal(dist, shape)
-        numeric = oracle.numeric_projection(
-            simplex.NegativeEntropy(),
-            oracle.DiagonalFace(shape),
-            dist,
-            "left",
-            seed=args.seed,
-        )
-    elif args.family == "product":
-        shape = simplex.JointShape(sizes)
-        closed = simplex.m_project_product(dist, shape)
-        numeric = oracle.numeric_projection(
-            simplex.NegativeEntropy(),
-            oracle.ProductFamily(shape),
-            dist,
-            "right",
-            seed=args.seed,
-        )
+        q = [simplex.DistVec.from_json(d) for d in obj["dists"]]
+        closed = simplex.consensus_geomean(q)
+        spec, side = oracle.EqualCopies(len(q)), "left"
     else:
-        raise SchemaError(f"unknown family {args.family!r}")
+        q = simplex.DistVec.from_json(obj)
+        sizes = tuple(_parse_ints(args.shape))
+        if args.family == "diagonal":
+            shape = simplex.JointShape(sizes, (tuple(range(len(sizes))),))
+            closed = simplex.i_project_diagonal(q, shape)
+            spec, side = oracle.DiagonalFace(shape), "left"
+        else:
+            shape = simplex.JointShape(sizes)
+            closed = simplex.m_project_product(q, shape)
+            spec, side = oracle.ProductFamily(shape), "right"
+    numeric = oracle.numeric_projection(
+        simplex.NegativeEntropy(), spec, q, side, seed=args.seed
+    )
     gap = float(np.abs(closed.probs - numeric.probs).max())
     outputs = {"projection": closed.probs}
-    return _report(args, inputs, outputs, {"oracle_projection": _check(gap, 1e-6)})
+    return outputs, {"oracle_projection": _check(gap, 1e-6)}
 
 
 def cmd_fg_wr(args):
-    obj, digest = _load_json(args.graph)
-    fg = factorgraph.fg_from_json(obj)
-    inputs = {args.graph: digest}
+    fg = _load(args, args.graph, factorgraph.fg_from_json)
     space = lift.replicate_lift(fg)
     if args.generator == "entropy":
         gen = simplex.NegativeEntropy()
@@ -415,49 +388,39 @@ def cmd_fg_wr(args):
         gen = simplex.Mahalanobis(np.eye(space.ident_size))
     run = lift.wr_run(space, gen, tol=args.tol, max_iters=args.max_iters)
     beliefs = lift.wr_beliefs(space, run.state)
+    last_step = run.steps[-1] if run.steps else 0.0
     outputs = {
-        "beliefs": {v: beliefs[v] for v in sorted(beliefs)},
+        "beliefs": beliefs,
         "iterations": run.state.n,
         "converged": run.converged,
-        "last_step": run.steps[-1] if run.steps else 0.0,
+        "last_step": last_step,
     }
     checks = {}
     if fg.is_forest() and args.generator == "entropy":
         # tree-exactness after one outer iteration holds for the entropy
         # generator; the quadratic one only promises a Cauchy iterate
-        enum = oracle.enumerate_fg_marginals(fg)
-        gap = max(float(np.abs(beliefs[v.id] - enum[v.id]).max()) for v in fg.variables)
+        gap = _max_gap(beliefs, oracle.enumerate_fg_marginals(fg))
         checks["oracle_marginals"] = _check(gap, 1e-10)
-    checks["converged"] = {
-        "max_abs_error": outputs["last_step"],
-        "tol": args.tol,
-        "pass": run.converged,
-    }
-    return _report(args, inputs, outputs, checks)
+    checks["converged"] = _check(last_step, args.tol, run.converged)
+    return outputs, checks
 
 
 # ------------------------------------------------------------ dag commands
 
 
 def cmd_dag_eval(args):
-    obj, digest = _load_json(args.graph)
-    graph = compgraph.graph_from_json(obj)
+    graph = _load(args, args.graph, compgraph.graph_from_json)
     trace = compgraph.forward_eval(graph, _parse_at(args.at, graph))
-    outputs = {"output": trace.values[graph.output], "values": dict(trace.values)}
-    checks = {"finite": {"max_abs_error": 0.0, "tol": 0.0, "pass": True}}
-    return _report(args, {args.graph: digest}, outputs, checks)
+    outputs = {"output": trace.values[graph.output], "values": trace.values}
+    return outputs, {"finite": _check(0.0, 0.0, True)}
 
 
 def cmd_dag_adjoints(args):
-    obj, digest = _load_json(args.graph)
-    graph = compgraph.graph_from_json(obj)
+    graph = _load(args, args.graph, compgraph.graph_from_json)
     at = _parse_at(args.at, graph)
     factor = _parse_factor(args.factor)
-    trace = compgraph.forward_eval(graph, at)
-    adj = compgraph.backward_adjoints(graph, trace, factor)
-    seed_value = compgraph.seed_score(factor, trace.values[graph.output])
-    ref = oracle.reference_gradient(graph, at, seed_value)
-    ref_gap = max(abs(adj[nid] - ref[nid]) for nid in ref)
+    outputs, ref_gap = _adjoints(graph, at, factor)
+    adj = outputs["adjoints"]
     names = sorted(graph.input_ids())
 
     def log_phi(vec):
@@ -469,22 +432,16 @@ def cmd_dag_adjoints(args):
     fd_gap = max(
         abs(adj[n] - g) / max(1.0, abs(g)) for n, g in zip(names, fd)
     )
-    outputs = {
-        "output": trace.values[graph.output],
-        "seed": seed_value,
-        "adjoints": {nid: adj[nid] for nid in sorted(adj)},
-    }
     checks = {
         "independent_accumulator": _check(ref_gap, 1e-12),
         "finite_differences": _check(fd_gap, 1e-6),
     }
-    return _report(args, {args.graph: digest}, outputs, checks)
+    return outputs, checks
 
 
 def cmd_dag_gauge(args):
-    _require_positive(args.trials, "trial count")
-    obj, digest = _load_json(args.graph)
-    graph = compgraph.graph_from_json(obj)
+    _require_count(args.trials, 1, "trial count")
+    graph = _load(args, args.graph, compgraph.graph_from_json)
     at = _parse_at(args.at, graph)
     factor = _parse_factor(args.factor)
     trace = compgraph.forward_eval(graph, at)
@@ -492,62 +449,42 @@ def cmd_dag_gauge(args):
     if var not in trace.values:
         raise ValidationError(f"unknown node {var!r}")
     grid = compgraph.centered_grid(trace.values[var], 0.1)
-    base = compgraph.slope_from_grid(
-        grid, compgraph.downward_log_belief(graph, trace, factor, var, grid)
-    )
+
+    def slope(scales=None) -> float:
+        belief = compgraph.downward_log_belief(graph, trace, factor, var, grid, scales)
+        return compgraph.slope_from_grid(grid, belief)
+
+    base = slope()
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for trial in range(args.trials):
-        scales = {
-            f"edge{j}": float(np.exp(rng.uniform(-2.0, 2.0))) for j in range(4)
-        }
-        scaled = compgraph.slope_from_grid(
-            grid,
-            compgraph.downward_log_belief(
-                graph, trace, factor, var, grid, edge_scales=scales
-            ),
-        )
-        worst = max(worst, abs(scaled - base))
+    for _ in range(args.trials):
+        scales = {f"edge{j}": float(np.exp(rng.uniform(-2.0, 2.0))) for j in range(4)}
+        worst = max(worst, abs(slope(scales) - base))
     outputs = {"slope": base, "trials": args.trials}
-    return _report(
-        args, {args.graph: digest}, outputs, {"gauge_invariance": _check(worst, 1e-12)}
-    )
+    return outputs, {"gauge_invariance": _check(worst, 1e-12)}
 
 
 # ------------------------------------------------------- posterior commands
 
 
 def cmd_posterior_grad(args):
-    obj, digest = _load_json(args.model)
-    model = posterior.model_from_json(obj)
+    model = _load(args, args.model, posterior.model_from_json)
     theta = _parse_floats(args.theta)
-    grad = posterior.posterior_grad_enum(model, theta)
-
-    def log_ml(t):
-        return float(np.log(posterior.marginal_likelihood(model, t, method="enum")))
-
-    fd = oracle.finite_diff_grad(log_ml, theta)
-    fd_gap = max(
-        (abs(g - f) / max(1.0, abs(f)) for g, f in zip(grad, fd)), default=0.0
-    )
+    grad, fd_gap = _enum_gradient(model, theta)
     outputs = {"gradient": grad, "marginal_likelihood": posterior.marginal_likelihood(model, theta)}
     checks = {"finite_differences": _check(fd_gap, 1e-6)}
     if isinstance(model.likelihood, compgraph.ExpScale):
         bp = posterior.posterior_grad_bp(model, theta)
         checks["marginal_route"] = _check(float(np.abs(bp - grad).max()), 1e-10)
         outputs["gradient_marginal_route"] = bp
-    return _report(args, {args.model: digest}, outputs, checks)
+    return outputs, checks
 
 
 def cmd_posterior_dirac(args):
-    obj, digest = _load_json(args.model)
-    model = posterior.model_from_json(obj)
+    model = _load(args, args.model, posterior.model_from_json)
     theta = _parse_floats(args.theta)
-    x_star = tuple(_parse_ints(args.at))
-    left, right = posterior.dirac_limit_check(model, theta, x_star)
-    gap = float(np.abs(left - right).max()) if len(left) else 0.0
-    outputs = {"point_gradient": left, "adjoint_composition": right}
-    return _report(args, {args.model: digest}, outputs, {"dirac_limit": _check(gap, 1e-10)})
+    outputs, gap = _dirac_limit(model, theta, tuple(_parse_ints(args.at)))
+    return outputs, {"dirac_limit": _check(gap, 1e-10)}
 
 
 # ------------------------------------------------------------- oracle sweep
@@ -555,23 +492,13 @@ def cmd_posterior_dirac(args):
 
 def _compare_spn(seed: int) -> dict:
     circuit, evidence = generators.gen_spn(seed)
-    S = spn.upward_pass(circuit, evidence)
-    D = spn.downward_pass(circuit, S)
-    arrays = spn.marginal_arrays(circuit, evidence, S, D)
-    enum = oracle.enumerate_spn_marginals(circuit, evidence)
-    gap = max(
-        float(np.abs(arrays[v] - enum[v]).max()) for v in circuit.variable_order()
-    )
+    S, D, _, gap = _spn_marginals(circuit, evidence)
     euler = max(spn.euler_residuals(circuit, evidence, S, D).values())
     return {"marginals": gap, "euler": euler}
 
 
 def _compare_fg(seed: int) -> dict:
-    fg = generators.gen_fg(seed)
-    beliefs = factorgraph.bp_beliefs(fg, factorgraph.bp_run_tree(fg))
-    enum = oracle.enumerate_fg_marginals(fg)
-    gap = max(float(np.abs(beliefs[v.id] - enum[v.id]).max()) for v in fg.variables)
-    return {"marginals": gap}
+    return {"marginals": _two_pass_beliefs(generators.gen_fg(seed))[1]}
 
 
 def _compare_dag(seed: int) -> dict:
@@ -579,30 +506,15 @@ def _compare_dag(seed: int) -> dict:
     factor = compgraph.ExpScale(2.0) if seed % 2 else compgraph.NegLossTemp(
         "squared_error", 0.25, 1.5
     )
-    trace = compgraph.forward_eval(graph, at)
-    adj = compgraph.backward_adjoints(graph, trace, factor)
-    ref = oracle.reference_gradient(
-        graph, at, compgraph.seed_score(factor, trace.values[graph.output])
-    )
-    return {"adjoints": max(abs(adj[nid] - ref[nid]) for nid in ref)}
+    return {"adjoints": _adjoints(graph, at, factor)[1]}
 
 
 def _compare_posterior(seed: int) -> dict:
     model, theta = generators.gen_posterior(seed)
-    grad = posterior.posterior_grad_enum(model, theta)
-
-    def log_ml(t):
-        return float(np.log(posterior.marginal_likelihood(model, t, method="enum")))
-
-    fd = oracle.finite_diff_grad(log_ml, theta)
-    fd_gap = max(
-        (abs(g - f) / max(1.0, abs(f)) for g, f in zip(grad, fd)), default=0.0
-    )
-    left, right = posterior.dirac_limit_check(
-        model, theta, tuple(0 for _ in range(model.m))
-    )
-    dirac = float(np.abs(left - right).max()) if len(left) else 0.0
-    return {"finite_differences": fd_gap, "dirac": dirac}
+    return {
+        "finite_differences": _enum_gradient(model, theta)[1],
+        "dirac": _dirac_limit(model, theta, (0,) * model.m)[1],
+    }
 
 
 _COMPARERS = {
@@ -614,7 +526,7 @@ _COMPARERS = {
 
 
 def cmd_oracle_compare(args):
-    _require_positive(args.count, "instance count")
+    _require_count(args.count, 1, "instance count")
     kinds = list(_COMPARERS) if args.kind == "all" else [args.kind]
     outputs = {}
     checks = {}
@@ -627,7 +539,7 @@ def cmd_oracle_compare(args):
         outputs[kind] = {"instances": args.count, "max_error": worst}
         for name, tol in tols.items():
             checks[f"{kind}.{name}"] = _check(worst[name], tol)
-    return _report(args, {}, outputs, checks)
+    return outputs, checks
 
 
 # --------------------------------------------------------------- generate
@@ -659,18 +571,25 @@ def cmd_gen(args):
         graph, at = generators.gen_dag(args.seed)
         save(f"{prefix}.dag.json", compgraph.graph_to_json(graph))
         save(f"{prefix}.at.json", {"schema": "v1", "inputs": at})
-    elif args.kind == "posterior":
+    else:
         model, theta = generators.gen_posterior(args.seed)
         save(f"{prefix}.model.json", posterior.model_to_json(model))
         save(f"{prefix}.theta.json", {"schema": "v1", "theta": list(theta)})
-    else:
-        raise SchemaError(f"unknown kind {args.kind!r}")
-    outputs = {"written": written}
-    checks = {"generated": {"max_abs_error": 0.0, "tol": 0.0, "pass": True}}
-    return _report(args, {}, outputs, checks)
+    return {"written": written}, {"generated": _check(0.0, 0.0, True)}
 
 
 # ------------------------------------------------------------------ main
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value; numpy's generators take only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -679,108 +598,86 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact divergence-projection checks for circuits and graphs",
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    helps = {
+        "spn": "circuit passes and reductions",
+        "fg": "factor-graph propagation and projections",
+        "dag": "computation-graph evaluation and adjoints",
+        "posterior": "posterior sensitivities",
+        "oracle": "brute-force cross-checks",
+        "gen": "write random instances",
+    }
+    groups: dict = {}
 
-    def leaf(group, name, fn, **kwargs):
-        p = group.add_parser(name, **kwargs)
+    def leaf(path: str, fn, *required, **options):
+        """Add the command ``path`` ("group command", or a group alone) that
+        runs ``fn``.  A required flag is a name or a (name, choices) pair; an
+        option maps to its default, to a (default, choices) pair, to ``int``
+        for a whole number with no default, or to False for a switch.  A
+        number's type parses its flag, and every seed is a non-negative
+        integer."""
+        group, _, name = path.partition(" ")
+        if not name:
+            p = sub.add_parser(group, help=helps[group])
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=helps[group]).add_subparsers(
+                    dest="cmd", required=True
+                )
+            p = groups[group].add_parser(name)
+            p.add_argument("--out", help="write the report here instead of stdout")
         p.set_defaults(_fn=fn)
-        p.add_argument("--out", help="write the report here instead of stdout")
+        flags = [(dest, None, True) for dest in required]
+        for dest, default, req in flags + [(d, v, False) for d, v in options.items()]:
+            kw = {"required": True} if req else {"default": default}
+            if isinstance(dest, tuple):
+                dest, kw["choices"] = dest
+            if isinstance(default, tuple):
+                kw["default"], kw["choices"] = default
+            elif default is False:
+                kw["action"] = "store_true"
+            elif default is int:
+                kw.update(type=int, default=None)
+            elif isinstance(default, (int, float)):
+                kw["type"] = type(default)
+            if dest == "seed":
+                kw["type"] = _seed
+            p.add_argument("--" + dest.replace("_", "-"), **kw)
         return p
 
-    sp = sub.add_parser("spn", help="circuit passes and reductions")
-    spsub = sp.add_subparsers(dest="cmd", required=True)
-    p = leaf(spsub, "validate", cmd_spn_validate)
-    p.add_argument("--circuit", required=True)
-    for name, fn in (
-        ("eval", cmd_spn_eval),
-        ("marginals", cmd_spn_marginals),
-        ("gates", cmd_spn_gates),
-        ("kkt", cmd_spn_kkt),
-        ("region", cmd_spn_region),
-    ):
-        p = leaf(spsub, name, fn)
-        p.add_argument("--circuit", required=True)
-        p.add_argument("--evidence")
-    p = leaf(spsub, "lipschitz", cmd_spn_lipschitz)
-    p.add_argument("--circuit", required=True)
-    p.add_argument("--evidence")
-    p.add_argument("--lo", type=float, default=float(np.log(0.5)))
-    p.add_argument("--hi", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=7)
-
-    fgp = sub.add_parser("fg", help="factor-graph propagation and projections")
-    fgsub = fgp.add_subparsers(dest="cmd", required=True)
-    p = leaf(fgsub, "bp", cmd_fg_bp)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", type=int, default=10_000)
-    p = leaf(fgsub, "project", cmd_fg_project)
-    p.add_argument("--input", required=True)
-    p.add_argument("--family", required=True, choices=("diagonal", "product", "copies"))
-    p.add_argument("--shape", default="")
-    p.add_argument("--seed", type=int, default=0)
-    p = leaf(fgsub, "wr", cmd_fg_wr)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--generator", choices=("entropy", "quadratic"), default="entropy")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=5000)
-
-    dagp = sub.add_parser("dag", help="computation-graph evaluation and adjoints")
-    dagsub = dagp.add_subparsers(dest="cmd", required=True)
-    p = leaf(dagsub, "eval", cmd_dag_eval)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--at", required=True)
-    p = leaf(dagsub, "adjoints", cmd_dag_adjoints)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--factor", required=True)
-    p = leaf(dagsub, "gauge", cmd_dag_gauge)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--factor", required=True)
-    p.add_argument("--var", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
-
-    postp = sub.add_parser("posterior", help="posterior sensitivities")
-    postsub = postp.add_subparsers(dest="cmd", required=True)
-    p = leaf(postsub, "grad", cmd_posterior_grad)
-    p.add_argument("--model", required=True)
-    p.add_argument("--theta", required=True)
-    p = leaf(postsub, "dirac", cmd_posterior_dirac)
-    p.add_argument("--model", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--at", required=True)
-
-    orp = sub.add_parser("oracle", help="brute-force cross-checks")
-    orsub = orp.add_subparsers(dest="cmd", required=True)
-    p = leaf(orsub, "compare", cmd_oracle_compare)
-    p.add_argument("--kind", choices=("spn", "fg", "dag", "posterior", "all"),
-                   default="all")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("gen", help="write random instances")
-    p.set_defaults(_fn=cmd_gen)
+    leaf("spn validate", cmd_spn_validate, "circuit")
+    leaf("spn eval", cmd_spn_eval, "circuit", evidence=None)
+    leaf("spn marginals", cmd_spn_marginals, "circuit", evidence=None)
+    leaf("spn gates", cmd_spn_gates, "circuit", evidence=None)
+    leaf("spn kkt", cmd_spn_kkt, "circuit", evidence=None)
+    leaf("spn region", cmd_spn_region, "circuit", evidence=None)
+    leaf("spn lipschitz", cmd_spn_lipschitz, "circuit", evidence=None,
+         lo=float(np.log(0.5)), hi=0.0, samples=200, seed=7)
+    leaf("fg bp", cmd_fg_bp, "graph", damping=0.0, tol=1e-10, max_sweeps=10_000)
+    leaf("fg project", cmd_fg_project, "input", ("family", ("diagonal", "product", "copies")),
+         shape="", seed=0)
+    leaf("fg wr", cmd_fg_wr, "graph", generator=("entropy", ("entropy", "quadratic")),
+         tol=1e-8, max_iters=5000)
+    leaf("dag eval", cmd_dag_eval, "graph", "at")
+    leaf("dag adjoints", cmd_dag_adjoints, "graph", "at", "factor")
+    leaf("dag gauge", cmd_dag_gauge, "graph", "at", "factor", "var", seed=0, trials=5)
+    leaf("posterior grad", cmd_posterior_grad, "model", "theta")
+    leaf("posterior dirac", cmd_posterior_dirac, "model", "theta", "at")
+    leaf("oracle compare", cmd_oracle_compare, kind=("all", (*_COMPARERS, "all")),
+         count=20, seed=0)
+    p = leaf("gen", cmd_gen, "seed", vars=int, states=int, shared=False,
+             fg_kind=("tree", ("tree", "cycle")))
     p.add_argument("kind", choices=("spn", "fg", "dag", "posterior"))
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="instance", help="output path prefix")
-    p.add_argument("--vars", type=int)
-    p.add_argument("--states", type=int)
-    p.add_argument("--shared", action="store_true")
-    p.add_argument("--fg-kind", choices=("tree", "cycle"), default="tree")
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args._echo = argv
+    args = _build_parser().parse_args(argv)
+    args._inputs = {}
     start = time.perf_counter()
     try:
-        report, ok = args._fn(args)
+        outputs, checks = args._fn(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_NO_FILE
@@ -791,8 +688,17 @@ def main(argv=None) -> int:
         print(f"error: validation failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
     elapsed = time.perf_counter() - start
+    ok = all(entry["pass"] for entry in checks.values())
+    report = {
+        "schema": "v1",
+        "command": argv,
+        "inputs": args._inputs,
+        "outputs": outputs,
+        "checks": checks,
+        "pass": ok,
+    }
     text = stable_dumps(report)
-    if args._fn is not cmd_gen and getattr(args, "out", None):
+    if args._fn is not cmd_gen and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:

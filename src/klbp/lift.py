@@ -73,10 +73,6 @@ class ReplicatedSpace:
     q_init: DistVec
 
     @property
-    def shape(self) -> JointShape:
-        return JointShape(self.sizes, self.var_groups)
-
-    @property
     def ident_shape(self) -> JointShape:
         return JointShape(self.ident_sizes)
 

@@ -94,8 +94,12 @@ class _Problem:
                 raise ValidationError(
                     f"EqualCopies({spec.count}) needs a list of {spec.count} tables"
                 )
+            rows = [np.asarray(t.probs, dtype=float) for t in q]
+            lengths = [row.size for row in rows]
+            if len(set(lengths)) > 1:
+                raise ValidationError(f"EqualCopies tables differ in length: {lengths}")
             self.kind = "copies"
-            self.targets = np.array([np.asarray(t.probs, dtype=float) for t in q])
+            self.targets = np.array(rows)
             self.dim = self.targets.shape[1]
             self.outcomes = q[0].outcomes
         elif isinstance(spec, DiagonalFace):

@@ -49,9 +49,7 @@ _PROBE_COLUMNS = 1 << 12
 
 def _require_tree(circuit: SpnCircuit, what: str) -> None:
     if not circuit.is_tree():
-        raise ValidationError(
-            f"{what} needs a tree circuit; this one shares nodes -- unroll first"
-        )
+        raise ValidationError(f"{what} needs a tree circuit; this one shares nodes")
 
 
 # ---------------------------------------------------------------- parses

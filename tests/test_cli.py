@@ -281,6 +281,16 @@ class TestSpnCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: validation failed: sample count")
 
+    def test_lipschitz_rejects_fewer_than_two_samples(self, capsys, files):
+        # with one sample or none there is no pair, so the bound would pass unchecked
+        for samples in ("0", "1"):
+            assert main(["spn", "lipschitz", "--circuit", files["circuit"], "--samples", samples]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: validation failed: sample count must be at least 2, got {samples}\n"
+            )
+
     def test_non_numeric_circuit_weight_or_state_exits_2(self, capsys, files):
         circuit = json.loads(Path(files["circuit"]).read_text())
         for node, field, value in (("r", "weight", "0.6x"), ("lx0", "state", "first")):
@@ -441,6 +451,13 @@ class TestFgCommands:
         assert code == 0
         assert rep["outputs"]["projection"] == pytest.approx([0.4, 0.6])
 
+    def test_project_needs_a_shape_for_diagonal_and_product(self, capsys, files):
+        for family in ("diagonal", "product"):
+            assert main(["fg", "project", "--input", files["joint"], "--family", family]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: bad input: --shape is required for the {family} family\n"
+
 
 class TestDagCommands:
     def test_adjoints_logistic_point(self, capsys, files):
@@ -585,6 +602,69 @@ class TestOracleCompare:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: validation failed: instance count")
+
+
+SEEDED = {
+    "spn lipschitz": ["spn", "lipschitz", "--circuit", "{circuit}"],
+    "fg project": ["fg", "project", "--input", "{joint}", "--family", "diagonal", "--shape", "2,2"],
+    "dag gauge": [
+        "dag", "gauge", "--graph", "{logistic}", "--factor", "logistic:1:2",
+        "--at", "w=0.3,x=1.2", "--var", "m",
+    ],
+    "oracle compare": ["oracle", "compare", "--count", "1"],
+    "gen": ["gen", "fg", "--out", "{root}/never"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_negative_seed_exits_2(capsys, files, command):
+    argv = [arg.format(**files) for arg in SEEDED[command]]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in captured.err
+
+
+@pytest.mark.parametrize("kind,seed", [("spn", 3), ("fg", 4), ("dag", 5), ("dag", 6), ("posterior", 7)])
+def test_compare_reports_the_subcommand_error(capsys, tmp_path, kind, seed):
+    """``oracle compare`` and the subcommands share their checks, so on the
+    instance ``gen`` writes for a seed both report the same error."""
+    prefix = str(tmp_path / kind)
+    assert main(["gen", kind, "--seed", str(seed), "--out", prefix]) == 0
+    capsys.readouterr()
+    code, rep = run_cli(
+        capsys, "oracle", "compare", "--kind", kind, "--count", "1", "--seed", str(seed)
+    )
+    assert code == 0
+    compared = rep["outputs"][kind]["max_error"]
+
+    def load(suffix):
+        return json.loads(Path(f"{prefix}.{suffix}.json").read_text())
+
+    if kind == "spn":
+        files = ["--circuit", f"{prefix}.circuit.json", "--evidence", f"{prefix}.evidence.json"]
+        runs = {"marginals": (["spn", "marginals", *files], "oracle_marginals")}
+    elif kind == "fg":
+        runs = {"marginals": (["fg", "bp", "--graph", f"{prefix}.fg.json"], "oracle_marginals")}
+    elif kind == "dag":
+        point = ",".join(f"{k}={float(v)!r}" for k, v in sorted(load("at")["inputs"].items()))
+        factor = "exp:2" if seed % 2 else "sqerr:0.25:1.5"
+        argv = ["dag", "adjoints", "--graph", f"{prefix}.dag.json", f"--at={point}", "--factor", factor]
+        runs = {"adjoints": (argv, "independent_accumulator")}
+    else:
+        theta = ",".join(repr(float(t)) for t in load("theta")["theta"])
+        model = ["--model", f"{prefix}.model.json", f"--theta={theta}"]
+        origin = ",".join("0" * len(load("model")["variables"]))
+        runs = {
+            "finite_differences": (["posterior", "grad", *model], "finite_differences"),
+            "dirac": (["posterior", "dirac", *model, f"--at={origin}"], "dirac_limit"),
+        }
+    for name, (argv, check) in runs.items():
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0, name
+        assert rep["checks"][check]["max_abs_error"] == compared[name], name
 
 
 class TestGen:

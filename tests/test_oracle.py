@@ -69,6 +69,13 @@ def test_equal_copies_left_is_geometric_mean():
     np.testing.assert_allclose(numeric.probs, closed.probs, atol=1e-6)
 
 
+def test_equal_copies_tables_must_share_a_length():
+    a = DistVec(np.array([0.9, 0.1]))
+    b = DistVec(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(ValidationError, match=r"EqualCopies tables differ in length: \[2, 3\]"):
+        numeric_projection(ENTROPY, EqualCopies(2), [a, b], "left")
+
+
 def test_equal_copies_right_is_arithmetic_mean():
     rng = np.random.default_rng(53)
     tables = [rand_joint(rng, (3,)) for _ in range(4)]
