@@ -9,7 +9,9 @@ JSON.  Wall time goes to stderr, keeping the report byte-stable.
 
 Each engine-vs-oracle comparison is computed by one function, which both
 its subcommand and ``oracle compare`` call, so the two report the same
-error for the same instance.  The parser is one table of commands.
+error for the same instance.  The parser is one table of commands.  Each
+subcommand imports only the engine modules it runs, so a call pays start-up
+for those alone.
 
 Exit codes: 0 all checks pass; 1 missing file; 2 malformed input (schema)
 or command line, including a negative ``--seed`` and ``fg project`` without
@@ -31,10 +33,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from . import compgraph, factorgraph, generators, lift, oracle, posterior
-from . import simplex, spn, spn_reduce
-from .budgets import BudgetError
-from .errors import SchemaError, ValidationError
+from .errors import BudgetError, SchemaError, ValidationError
 
 EXIT_OK = 0
 EXIT_NO_FILE = 1
@@ -135,6 +134,8 @@ def _parse_at(text: str, graph) -> dict:
 
 
 def _parse_factor(text: str):
+    from . import compgraph
+
     fields = text.split(":")
     try:
         if fields[0] == "exp" and len(fields) == 2:
@@ -173,6 +174,8 @@ def _require_count(count: int, least: int, what: str) -> None:
 
 
 def _load_circuit_evidence(args) -> tuple:
+    from . import spn
+
     circuit = _load(args, args.circuit, spn.circuit_from_json)
     if args.evidence:
         evidence = _load(args, args.evidence, spn.evidence_from_json)
@@ -186,6 +189,8 @@ def _load_circuit_evidence(args) -> tuple:
 
 def _spn_marginals(circuit, evidence) -> tuple:
     """Both passes, the marginals, and their largest gap to enumeration."""
+    from . import oracle, spn
+
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
     arrays = spn.marginal_arrays(circuit, evidence, S, D)
@@ -194,6 +199,8 @@ def _spn_marginals(circuit, evidence) -> tuple:
 
 def _two_pass_beliefs(fg) -> tuple[dict, float]:
     """Two-pass BP beliefs on a forest and their largest gap to enumeration."""
+    from . import factorgraph, oracle
+
     beliefs = factorgraph.bp_beliefs(fg, factorgraph.bp_run_tree(fg))
     return beliefs, _max_gap(beliefs, oracle.enumerate_fg_marginals(fg))
 
@@ -201,6 +208,8 @@ def _two_pass_beliefs(fg) -> tuple[dict, float]:
 def _adjoints(graph, at: dict, factor) -> tuple[dict, float]:
     """Output, seed and adjoints at ``at``, and the adjoints' largest gap to
     the oracle's independent accumulator."""
+    from . import compgraph, oracle
+
     trace = compgraph.forward_eval(graph, at)
     adj = compgraph.backward_adjoints(graph, trace, factor)
     seed = compgraph.seed_score(factor, trace.values[graph.output])
@@ -212,6 +221,8 @@ def _adjoints(graph, at: dict, factor) -> tuple[dict, float]:
 def _enum_gradient(model, theta) -> tuple:
     """The enumerated log-evidence gradient and its largest relative gap to
     finite differences."""
+    from . import oracle, posterior
+
     grad = posterior.posterior_grad_enum(model, theta)
 
     def log_ml(t):
@@ -223,6 +234,8 @@ def _enum_gradient(model, theta) -> tuple:
 
 def _dirac_limit(model, theta, x_star: tuple) -> tuple[dict, float]:
     """Both sides of the Dirac-limit identity at ``x_star`` and their largest gap."""
+    from . import posterior
+
     left, right = posterior.dirac_limit_check(model, theta, x_star)
     gap = float(np.abs(left - right).max()) if len(left) else 0.0
     return {"point_gradient": left, "adjoint_composition": right}, gap
@@ -232,11 +245,15 @@ def _dirac_limit(model, theta, x_star: tuple) -> tuple[dict, float]:
 
 
 def cmd_spn_validate(args):
+    from . import spn
+
     report = spn.validate_spn(_load(args, args.circuit, spn.circuit_from_json))
     return report, {"structure": _check(0.0, 0.0, report["valid"])}
 
 
 def cmd_spn_eval(args):
+    from . import spn
+
     circuit, evidence = _load_circuit_evidence(args)
     S = spn.upward_pass(circuit, evidence)
     logs = spn.upward_pass_log(circuit, evidence, check=False)
@@ -254,6 +271,8 @@ def cmd_spn_marginals(args):
 
 
 def cmd_spn_gates(args):
+    from . import spn
+
     circuit, evidence = _load_circuit_evidence(args)
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
@@ -271,6 +290,8 @@ def cmd_spn_gates(args):
 
 
 def cmd_spn_kkt(args):
+    from . import spn
+
     circuit, evidence = _load_circuit_evidence(args)
     if not evidence.is_soft():
         raise ValidationError("multiplier extraction needs soft (positive) evidence")
@@ -291,6 +312,8 @@ def cmd_spn_kkt(args):
 
 
 def cmd_spn_region(args):
+    from . import spn, spn_reduce
+
     circuit, evidence = _load_circuit_evidence(args)
     fam = spn_reduce.region_two_step(circuit, evidence)
     S = spn.upward_pass(circuit, evidence)
@@ -311,6 +334,8 @@ def cmd_spn_region(args):
 
 
 def cmd_spn_lipschitz(args):
+    from . import spn_reduce
+
     # fewer than two samples make no pair, so the bound would pass unchecked
     _require_count(args.samples, 2, "sample count")
     circuit, evidence = _load_circuit_evidence(args)
@@ -327,7 +352,11 @@ def cmd_spn_lipschitz(args):
 
 
 def cmd_fg_bp(args):
+    from . import factorgraph
+
     fg = _load(args, args.graph, factorgraph.fg_from_json)
+    if not fg.variables:
+        raise ValidationError("cannot run BP on a factor graph with no variables")
     if fg.is_forest():
         beliefs, gap = _two_pass_beliefs(fg)
         outputs = {"beliefs": beliefs, "schedule": "two-pass"}
@@ -351,6 +380,8 @@ def cmd_fg_bp(args):
 
 
 def cmd_fg_project(args):
+    from . import oracle, simplex
+
     if args.family != "copies" and not args.shape:
         raise SchemaError(f"--shape is required for the {args.family} family")
     obj = _load(args, args.input)
@@ -380,6 +411,8 @@ def cmd_fg_project(args):
 
 
 def cmd_fg_wr(args):
+    from . import factorgraph, lift, simplex
+
     fg = _load(args, args.graph, factorgraph.fg_from_json)
     space = lift.replicate_lift(fg)
     if args.generator == "entropy":
@@ -399,6 +432,8 @@ def cmd_fg_wr(args):
     if fg.is_forest() and args.generator == "entropy":
         # tree-exactness after one outer iteration holds for the entropy
         # generator; the quadratic one only promises a Cauchy iterate
+        from . import oracle
+
         gap = _max_gap(beliefs, oracle.enumerate_fg_marginals(fg))
         checks["oracle_marginals"] = _check(gap, 1e-10)
     checks["converged"] = _check(last_step, args.tol, run.converged)
@@ -409,6 +444,8 @@ def cmd_fg_wr(args):
 
 
 def cmd_dag_eval(args):
+    from . import compgraph
+
     graph = _load(args, args.graph, compgraph.graph_from_json)
     trace = compgraph.forward_eval(graph, _parse_at(args.at, graph))
     outputs = {"output": trace.values[graph.output], "values": trace.values}
@@ -416,6 +453,8 @@ def cmd_dag_eval(args):
 
 
 def cmd_dag_adjoints(args):
+    from . import compgraph, oracle
+
     graph = _load(args, args.graph, compgraph.graph_from_json)
     at = _parse_at(args.at, graph)
     factor = _parse_factor(args.factor)
@@ -440,6 +479,8 @@ def cmd_dag_adjoints(args):
 
 
 def cmd_dag_gauge(args):
+    from . import compgraph
+
     _require_count(args.trials, 1, "trial count")
     graph = _load(args, args.graph, compgraph.graph_from_json)
     at = _parse_at(args.at, graph)
@@ -468,6 +509,8 @@ def cmd_dag_gauge(args):
 
 
 def cmd_posterior_grad(args):
+    from . import compgraph, posterior
+
     model = _load(args, args.model, posterior.model_from_json)
     theta = _parse_floats(args.theta)
     grad, fd_gap = _enum_gradient(model, theta)
@@ -481,6 +524,8 @@ def cmd_posterior_grad(args):
 
 
 def cmd_posterior_dirac(args):
+    from . import posterior
+
     model = _load(args, args.model, posterior.model_from_json)
     theta = _parse_floats(args.theta)
     outputs, gap = _dirac_limit(model, theta, tuple(_parse_ints(args.at)))
@@ -491,6 +536,8 @@ def cmd_posterior_dirac(args):
 
 
 def _compare_spn(seed: int) -> dict:
+    from . import generators, spn
+
     circuit, evidence = generators.gen_spn(seed)
     S, D, _, gap = _spn_marginals(circuit, evidence)
     euler = max(spn.euler_residuals(circuit, evidence, S, D).values())
@@ -498,10 +545,14 @@ def _compare_spn(seed: int) -> dict:
 
 
 def _compare_fg(seed: int) -> dict:
+    from . import generators
+
     return {"marginals": _two_pass_beliefs(generators.gen_fg(seed))[1]}
 
 
 def _compare_dag(seed: int) -> dict:
+    from . import compgraph, generators
+
     graph, at = generators.gen_dag(seed)
     factor = compgraph.ExpScale(2.0) if seed % 2 else compgraph.NegLossTemp(
         "squared_error", 0.25, 1.5
@@ -510,6 +561,8 @@ def _compare_dag(seed: int) -> dict:
 
 
 def _compare_posterior(seed: int) -> dict:
+    from . import generators
+
     model, theta = generators.gen_posterior(seed)
     return {
         "finite_differences": _enum_gradient(model, theta)[1],
@@ -546,6 +599,8 @@ def cmd_oracle_compare(args):
 
 
 def cmd_gen(args):
+    from . import compgraph, factorgraph, generators
+
     written = {}
 
     def save(path: str, obj) -> None:
@@ -556,6 +611,8 @@ def cmd_gen(args):
 
     prefix = args.out
     if args.kind == "spn":
+        from . import spn
+
         circuit, evidence = generators.gen_spn(
             args.seed,
             shared=args.shared,
@@ -572,6 +629,8 @@ def cmd_gen(args):
         save(f"{prefix}.dag.json", compgraph.graph_to_json(graph))
         save(f"{prefix}.at.json", {"schema": "v1", "inputs": at})
     else:
+        from . import posterior
+
         model, theta = generators.gen_posterior(args.seed)
         save(f"{prefix}.model.json", posterior.model_to_json(model))
         save(f"{prefix}.theta.json", {"schema": "v1", "theta": list(theta)})

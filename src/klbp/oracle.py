@@ -94,6 +94,8 @@ class _Problem:
                 raise ValidationError(
                     f"EqualCopies({spec.count}) needs a list of {spec.count} tables"
                 )
+            if not q:
+                raise ValidationError("EqualCopies needs at least one table; the table list is empty")
             rows = [np.asarray(t.probs, dtype=float) for t in q]
             lengths = [row.size for row in rows]
             if len(set(lengths)) > 1:

@@ -11,15 +11,20 @@ An option is used if ``name=`` appears.  Comments and docstrings do not
 count: each source is read back from its syntax tree without them.
 
 The package root re-exports nothing, so importing it, or one submodule,
-loads no module the caller did not ask for."""
+loads no module the caller did not ask for.  The command line imports an
+engine module only when a subcommand runs it, so each subcommand loads just
+the modules it needs."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -119,3 +124,72 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_importing_a_submodule_loads_only_what_it_imports():
     assert _loaded_after("import klbp.spn") == _imported_by("spn")
+
+
+def test_importing_the_cli_loads_no_engine_module():
+    assert _loaded_after("import klbp.cli") == {"klbp.cli", "klbp.errors"}
+
+
+@pytest.fixture(scope="module")
+def instances(tmp_path_factory):
+    """Fields for the command templates below: the prefixes of the seed-1
+    instances ``klbp gen`` writes, and the points the dag and posterior
+    commands take."""
+    from klbp import cli
+
+    root = tmp_path_factory.mktemp("fanout")
+    for kind, prefix, *extra in (
+        ("spn", "s"), ("fg", "t"), ("fg", "c", "--fg-kind", "cycle"), ("dag", "d"),
+        ("posterior", "m"),
+    ):
+        assert cli.main(["gen", kind, "--seed", "1", "--out", str(root / prefix), *extra]) == 0
+    at = json.loads((root / "d.at.json").read_text())["inputs"]
+    theta = json.loads((root / "m.theta.json").read_text())["theta"]
+    m = len(json.loads((root / "m.model.json").read_text())["variables"])
+    return {
+        **{prefix: root / prefix for prefix in "stcdm"},
+        "at": ",".join(f"{name}={float(value)!r}" for name, value in sorted(at.items())),
+        "var": sorted(at)[0],
+        "theta": ",".join(repr(float(t)) for t in theta),
+        "zeros": ",".join("0" * m),
+        "out": root / "report.json",
+    }
+
+
+SPN = "--circuit {s}.circuit.json --evidence {s}.evidence.json"
+DAG = "--graph {d}.dag.json --at={at}"
+MODEL = "--model {m}.model.json --theta={theta}"
+FANOUT = [
+    pytest.param("spn validate --circuit {s}.circuit.json", ["spn"], id="spn validate"),
+    pytest.param("spn eval " + SPN, ["spn"], id="spn eval"),
+    pytest.param("spn gates " + SPN, ["spn"], id="spn gates"),
+    pytest.param("spn kkt " + SPN, ["spn"], id="spn kkt"),
+    pytest.param("spn marginals " + SPN, ["spn", "oracle"], id="spn marginals"),
+    pytest.param("spn region " + SPN, ["spn_reduce"], id="spn region"),
+    pytest.param(
+        "spn lipschitz --circuit {s}.circuit.json --samples 20", ["spn_reduce"], id="spn lipschitz"
+    ),
+    pytest.param("fg bp --graph {c}.fg.json", ["factorgraph"], id="fg bp cycle"),
+    pytest.param("fg bp --graph {t}.fg.json", ["factorgraph", "oracle"], id="fg bp tree"),
+    pytest.param("fg wr --graph {c}.fg.json", ["lift"], id="fg wr cycle"),
+    pytest.param("fg wr --graph {t}.fg.json", ["lift", "oracle"], id="fg wr tree"),
+    pytest.param("dag eval " + DAG, ["compgraph"], id="dag eval"),
+    pytest.param(
+        "dag gauge " + DAG + " --factor exp:2.0 --var {var}", ["compgraph"], id="dag gauge"
+    ),
+    pytest.param(
+        "dag adjoints " + DAG + " --factor exp:2.0", ["compgraph", "oracle"], id="dag adjoints"
+    ),
+    pytest.param("posterior dirac " + MODEL + " --at={zeros}", ["posterior"], id="posterior dirac"),
+    pytest.param("posterior grad " + MODEL, ["posterior", "oracle"], id="posterior grad"),
+    pytest.param(
+        "oracle compare --count 1", ["generators", "spn", "oracle", "posterior"], id="oracle compare"
+    ),
+]
+
+
+@pytest.mark.parametrize("template, modules", FANOUT)
+def test_each_subcommand_loads_only_the_modules_it_runs(instances, template, modules):
+    argv = template.format(**instances).split() + ["--out", str(instances["out"])]
+    loaded = _loaded_after(f"import klbp.cli; assert klbp.cli.main({argv!r}) == 0")
+    assert loaded == _imported_by("cli").union(*map(_imported_by, modules))

@@ -384,6 +384,16 @@ class TestFgCommands:
         assert captured.out == ""
         assert "message a->h vanished (contradictory constraints)" in captured.err
 
+    def test_bp_rejects_a_graph_with_no_variables(self, capsys, files):
+        path = files["root"] / "empty_fg.json"
+        path.write_text(json.dumps({"schema": "v1", "variables": [], "factors": []}))
+        assert main(["fg", "bp", "--graph", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: validation failed: cannot run BP on a factor graph with no variables\n"
+        )
+
     def test_wr_tree_matches_oracle(self, capsys, files):
         from klbp import factorgraph, generators
 

@@ -76,6 +76,11 @@ def test_equal_copies_tables_must_share_a_length():
         numeric_projection(ENTROPY, EqualCopies(2), [a, b], "left")
 
 
+def test_equal_copies_needs_at_least_one_table():
+    with pytest.raises(ValidationError, match="the table list is empty"):
+        numeric_projection(ENTROPY, EqualCopies(0), [], "left")
+
+
 def test_equal_copies_right_is_arithmetic_mean():
     rng = np.random.default_rng(53)
     tables = [rand_joint(rng, (3,)) for _ in range(4)]
