@@ -357,6 +357,7 @@ def cmd_fg_bp(args):
     fg = _load(args, args.graph, factorgraph.fg_from_json)
     if not fg.variables:
         raise ValidationError("cannot run BP on a factor graph with no variables")
+    factorgraph.check_bp_options(damping=args.damping, tol=args.tol, max_sweeps=args.max_sweeps)
     if fg.is_forest():
         beliefs, gap = _two_pass_beliefs(fg)
         outputs = {"beliefs": beliefs, "schedule": "two-pass"}

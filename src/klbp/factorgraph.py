@@ -20,15 +20,21 @@ compiled on its first call, so the lift never builds them:
   gathered incoming messages.  The batch shares its axis number with the
   first cardinality-1 axis when there is one, so a factor may use all 52
   axis numbers numpy allows; a wider factor is a ValidationError.
-- variable groups: the variables of one (degree, cardinality), as index
-  matrices of their incoming slots; a group's outgoing messages are one
-  prefix and one suffix sum of log-messages, O(degree) per variable, exact
-  on hard zeros and free of underflow.
-- levels: the two-pass schedule for forests.  The senders of one depth and
-  one group key form a group of their own, so the upward pass is one step
-  per level, deepest first, and the downward pass the same steps,
-  shallowest first.  One depth-first walk gives the depths, the component
-  count and the forest test.
+- variable groups: flat index arrays of incoming slots, each slot tagged
+  with its (variable, state) row.  One kernel sends a group's messages: one
+  log of the slots, one bincount per row of the finite logs and one of the
+  zeros, and each message is exp(row total - own log), O(degree) per
+  variable.  The zero counts decide which states are exactly 0, and each
+  message's maximum (one reduceat over the message cuts) is subtracted
+  before the exp, so hard zeros stay exact and nothing underflows.  The
+  flooding sweep runs one group that holds every variable, and the beliefs
+  read its row totals.
+- levels: the two-pass schedule for forests.  The variables of one depth
+  form one group, and the factors of one depth and table shape another, so
+  the upward pass is one step per level, deepest first, and the downward
+  pass the same steps, shallowest first.  A depth-first walk gives the
+  depths, the component count and the forest test; it runs on first use,
+  so loopy BP never walks the graph.
 
 The flooding sweep and the two-pass schedule run the same two kernels,
 one per group kind.
@@ -85,12 +91,14 @@ class Factor:
             raise ValidationError(
                 f"factor {self.id!r}: table rank {table.ndim} for {len(vs)} variables"
             )
-        if not np.all(np.isfinite(table)) or np.any(table < 0.0):
-            raise ValidationError(
-                f"factor {self.id!r}: table entries must be finite and nonnegative"
-            )
-        if table.sum() <= 0.0:
-            raise ValidationError(f"factor {self.id!r}: table is identically zero")
+        # two reductions accept the common table; the rest get the full checks
+        if not (table.min(initial=math.inf) >= 0.0 and 0.0 < table.sum() < math.inf):
+            if not np.all(np.isfinite(table)) or np.any(table < 0.0):
+                raise ValidationError(
+                    f"factor {self.id!r}: table entries must be finite and nonnegative"
+                )
+            if table.sum() <= 0.0:
+                raise ValidationError(f"factor {self.id!r}: table is identically zero")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -147,15 +155,14 @@ class _Layout:
     """The compiled edge layout of one factor graph (see the module docstring).
 
     Edge e owns slots ``off[e]:off[e + 1]`` of a message array, variable i
-    slots ``var_off[i]:var_off[i + 1]`` of a belief array.  Nodes are
+    rows ``var_off[i]:var_off[i + 1]`` of a belief array.  Nodes are
     variables, then factors; ``around[n]`` lists node n's edges in order.
-    ``order`` is the depth-first preorder of each component from its
-    smallest variable id, as (node, parent edge or -1) pairs.
     """
 
     def __init__(self, fg: FactorGraph):
         self.factors = fg.factors
-        self.index = {v.id: i for i, v in enumerate(fg.variables)}
+        self.ids = [v.id for v in fg.variables]
+        self.index = {vid: i for i, vid in enumerate(self.ids)}
         self.cards = [v.cardinality for v in fg.variables]
         self.n_vars = len(self.cards)
         self.edges = fg.edges()
@@ -172,32 +179,34 @@ class _Layout:
         blocks = [0, *itertools.accumulate(len(f.vars) for f in fg.factors)]
         self.around += map(range, blocks, blocks[1:])
 
+    @cached_property
+    def order(self) -> list[tuple[int, int]]:
+        """Depth-first preorder of each component from its smallest variable id,
+        as (node, parent edge or -1) pairs."""
         seen = [False] * len(self.around)
-        self.order: list[tuple[int, int]] = []
-        self.n_components = 0
-        for root in sorted(range(self.n_vars), key=lambda i: fg.variables[i].id):
+        order = []
+        for root in sorted(range(self.n_vars), key=self.ids.__getitem__):
             if seen[root]:
                 continue
-            self.n_components += 1
             seen[root] = True
             stack = [(root, -1)]
             while stack:
                 node, up = stack.pop()
-                self.order.append((node, up))
+                order.append((node, up))
                 for e in self.around[node]:
                     nxt = self.factor_node[e] if node < self.n_vars else self.edge_var[e]
                     if not seen[nxt]:
                         seen[nxt] = True
                         stack.append((nxt, e))
-        self.forest = len(self.edges) == len(seen) - self.n_components
+        return order
 
     @cached_property
-    def var_groups(self) -> list["_VarGroup"]:
-        """The variables grouped by (degree, cardinality)."""
-        members: dict[tuple[int, int], list[int]] = {}
-        for i in range(self.n_vars):
-            members.setdefault(self._var_key(i), []).append(i)
-        return [self._var_group(vs) for vs in members.values()]
+    def n_components(self) -> int:
+        return sum(up < 0 for _, up in self.order)
+
+    @cached_property
+    def forest(self) -> bool:
+        return len(self.edges) == len(self.around) - self.n_components
 
     @cached_property
     def factor_groups(self) -> list["_FactorGroup"]:
@@ -208,8 +217,16 @@ class _Layout:
         return [self._factor_group(js) for js in members.values()]
 
     @cached_property
+    def flood(self) -> "_VarGroup":
+        """Every variable as one group: slots in edge order, rows in belief order."""
+        cards = np.array(self.edge_cards, dtype=np.intp)
+        rows = np.arange(self.off[-1]) + np.repeat(self.var_off[self.edge_var] - self.off[:-1], cards)
+        return _VarGroup(slice(None), rows, int(self.var_off[-1]), self.off[:-1], cards)
+
+    @cached_property
     def tree_steps(self) -> list["_VarGroup | _FactorGroup"]:
-        """The two-pass schedule for forests, one group per (depth, group key).
+        """The two-pass schedule for forests: per depth, one variable group and
+        one factor group per table shape.
 
         Variables sit at even depths and factors at odd ones; nodes of one
         depth never share an edge, so each group is one step.
@@ -219,30 +236,49 @@ class _Layout:
         are uniform already.
         """
         depth = [0] * len(self.around)
+        senders: dict[int, list[int]] = {}
         levels: dict[tuple, list[int]] = {}
         for node, up in self.order:
             if node < self.n_vars:
                 if up >= 0:
                     depth[node] = depth[self.factor_node[up]] + 1
                 if len(self.around[node]) > 1:
-                    levels.setdefault((depth[node], self._var_key(node)), []).append(node)
+                    senders.setdefault(depth[node], []).append(node)
             else:
                 depth[node] = depth[self.edge_var[up]] + 1
                 j = node - self.n_vars
                 levels.setdefault((depth[node], self.factors[j].table.shape), []).append(j)
-        steps = [
-            (d, self._factor_group(members) if d % 2 else self._var_group(members))
-            for (d, _), members in sorted(levels.items(), key=lambda item: item[0][0])
-        ]
+        steps = [(d, self._factor_group(js)) for (d, _), js in levels.items()]
+        steps += zip(senders, self._var_groups(list(senders.values())))
+        steps.sort(key=lambda step: step[0])
         return [group for _, group in reversed(steps)] + [group for d, group in steps if d]
 
-    def _var_key(self, i: int) -> tuple[int, int]:
-        return len(self.around[i]), self.cards[i]
+    def _var_groups(self, members: list[list[int]]) -> list["_VarGroup"]:
+        """One group per list of variables, each variable's edges in one run.
 
-    def _var_group(self, vs: list[int]) -> "_VarGroup":
-        states = np.arange(self.cards[vs[0]])
-        edges = np.array([self.around[i] for i in vs], dtype=np.intp)
-        return _VarGroup(self.off[edges][..., None] + states, self.var_off[vs][:, None] + states)
+        One pass over the variables lists each edge's first position in the
+        groups' concatenation and its variable's first row in its group;
+        every slot and row index then comes from one repeat.
+        """
+        edges, starts, first_row, lens, bounds = [], [], [], [], [(0, 0, 0)]
+        for vs in members:
+            k0, n_rows = bounds[-1][1], 0
+            for i in vs:
+                card, deg = self.cards[i], len(self.around[i])
+                edges += self.around[i]
+                starts += range(k0, k0 + card * deg, card)
+                first_row += [n_rows] * deg
+                lens += [card] * deg
+                k0 += card * deg
+                n_rows += card
+            bounds.append((len(edges), k0, n_rows))
+        edge, start, row, lens = np.array([edges, starts, first_row, lens], dtype=np.intp)
+        state = np.arange(bounds[-1][1]) - start.repeat(lens)
+        slots, rows = self.off[edge].repeat(lens) + state, row.repeat(lens) + state
+        return [
+            _VarGroup(slots[s0:s1], rows[s0:s1], n_rows, start[e0:e1] - s0, lens[e0:e1])
+            for (e0, s0, _), (e1, s1, n_rows) in zip(bounds, bounds[1:])
+        ]
 
     def _factor_group(self, js: list[int]) -> "_FactorGroup":
         shape = self.factors[js[0]].table.shape
@@ -364,23 +400,40 @@ class _FactorGroup:
 
 @dataclass(frozen=True, eq=False)
 class _VarGroup:
-    """Variables of one (degree, cardinality): incoming and belief slots."""
+    """Variables sending along all their edges, as flat index arrays.
 
-    slots: Array
-    beliefs: Array
+    The group reads message slots ``slots``; slot k is in row ``rows[k]`` of
+    the group's ``n_rows`` (variable, state) rows, and the group's messages
+    are runs of ``lens[m]`` slots from ``cuts[m]``.
+    """
+
+    slots: Array | slice
+    rows: Array
+    n_rows: int
+    cuts: Array
+    lens: Array
+
+    def totals(self, to_var: Array) -> tuple[Array, Array, Array, Array]:
+        """Per slot, the finite log-message (0 at a zero) and whether it is 0;
+        per row, their sums."""
+        msgs = to_var[self.slots]
+        zero = msgs == 0.0
+        logs = np.log(msgs, out=np.zeros(msgs.shape), where=~zero)
+        total = np.bincount(self.rows, logs, self.n_rows)
+        return logs, zero, total, np.bincount(self.rows, zero, self.n_rows)
 
     def propagate(self, src: MessageState, dst: MessageState) -> None:
         """Messages from the group's variables to all their factors, with largest entry 1.
 
-        Each is the product of the variable's other incoming messages: a
-        prefix plus a suffix sum of log-messages, so exact zeros stay exact
-        and a high-degree product cannot underflow.
+        Each is the product of the variable's other incoming messages: its
+        row's total log-message less its own.  A state is exactly 0 when
+        another incoming message is 0 there, which the zero counts decide,
+        and the logs cannot underflow.
         """
-        logs = np.log(src.to_var[self.slots])
-        others = np.zeros(logs.shape)
-        logs[:, :-1].cumsum(axis=1, out=others[:, 1:])
-        others[:, :-1] += logs[:, :0:-1].cumsum(axis=1)[:, ::-1]
-        others -= others.max(axis=2, keepdims=True)
+        logs, zero, total, zeros = self.totals(src.to_var)
+        others = total[self.rows] - logs
+        others[zeros[self.rows] > zero] = -np.inf
+        others -= np.repeat(np.maximum.reduceat(others, self.cuts), self.lens)
         dst.to_factor[self.slots] = np.exp(others, out=others)
 
 
@@ -391,18 +444,31 @@ def _damp(lay: _Layout, old: Array, fresh: Array, damping: float) -> Array:
     return _normalize(np.exp(mixed - top), lay.off, "damped message", lay.edges)
 
 
+def _check_damping(damping: float) -> None:
+    if not 0.0 <= damping < 1.0:
+        raise ValidationError(f"damping must lie in [0, 1), got {damping}")
+
+
+def check_bp_options(*, damping: float, tol: float, max_sweeps: int) -> None:
+    """Raise unless ``bp_run`` accepts these options, in the order it checks them."""
+    if max_sweeps < 1:
+        raise ValidationError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    _check_damping(damping)
+
+
 def bp_sweep(fg: FactorGraph, state: MessageState, *, damping: float = 0.0) -> MessageState:
     """One synchronous flooding update of every message.
 
     Both directions are recomputed from the incoming state; ``damping`` in
     [0, 1) is the geometric weight kept on the old message.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValidationError(f"damping must lie in [0, 1), got {damping}")
+    _check_damping(damping)
     lay = fg._layout
     new = MessageState(np.empty_like(state.to_var), np.empty_like(state.to_factor))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for group in (*lay.factor_groups, *lay.var_groups):
+        for group in (*lay.factor_groups, lay.flood):
             group.propagate(state, new)
         _normalize(new.to_var, lay.off, _TO_VAR, lay.edges)
         _normalize(new.to_factor, lay.off, _TO_FACTOR, lay.edges)
@@ -422,12 +488,11 @@ def message_delta(a: MessageState, b: MessageState) -> float:
 def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
     """Normalized per-variable beliefs (products of incoming messages)."""
     lay = fg._layout
-    out = np.empty(lay.var_off[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for group in lay.var_groups:
-            total = np.log(state.to_var[group.slots]).sum(axis=1)
-            out[group.beliefs] = np.exp(total - total.max(axis=1, keepdims=True))
-        _normalize(out, lay.var_off, "belief of {0.id}", fg.variables)
+        _, _, total, zeros = lay.flood.totals(state.to_var)
+        total = np.where(zeros > 0.0, -np.inf, total)
+        total -= np.repeat(np.maximum.reduceat(total, lay.var_off[:-1]), lay.cards)
+        out = _normalize(np.exp(total, out=total), lay.var_off, "belief of {0.id}", fg.variables)
     return {v.id: out[s] for v, s in zip(fg.variables, lay.var_slices)}
 
 
@@ -448,12 +513,10 @@ def bp_run(
 ) -> BPResult:
     """Iterate synchronous sweeps until the sup-norm message change <= tol.
 
-    ``max_sweeps`` must be at least 1 and ``tol`` finite and nonnegative.
+    ``max_sweeps`` must be at least 1, ``tol`` finite and nonnegative and
+    ``damping`` in [0, 1).
     """
-    if max_sweeps < 1:
-        raise ValidationError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    check_bp_options(damping=damping, tol=tol, max_sweeps=max_sweeps)
     state = uniform_messages(fg)
     delta = math.inf
     for sweep in range(1, max_sweeps + 1):
@@ -520,7 +583,10 @@ def fg_from_json(obj) -> FactorGraph:
     variables = []
     for entry in obj["variables"]:
         try:
-            variables.append(Variable(entry["id"], int(entry["cardinality"])))
+            card = entry["cardinality"]
+            if type(card) not in (int, float) or not float(card).is_integer():
+                raise ValueError(f"cardinality {card!r} is not a whole number")
+            variables.append(Variable(entry["id"], int(card)))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad variable entry {entry!r}: {exc}") from exc
     card = {v.id: v.cardinality for v in variables}

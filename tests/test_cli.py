@@ -369,6 +369,41 @@ class TestFgCommands:
         assert rep["outputs"]["sweeps"] == 1
         assert not rep["checks"]["converged"]["pass"]
 
+    def test_bp_checks_its_options_before_picking_a_schedule(self, capsys, files):
+        from klbp import factorgraph, generators
+
+        errors = {}
+        for kind in ("tree", "cycle"):
+            path = files["root"] / f"options_{kind}.json"
+            path.write_text(json.dumps(factorgraph.fg_to_json(generators.gen_fg(1, kind=kind))))
+            for flag, value, name in (
+                ("--damping", "nan", "damping"),
+                ("--damping", "1.5", "damping"),
+                ("--tol", "nan", "tol"),
+                ("--tol=-1", None, "tol"),
+                ("--max-sweeps", "0", "max_sweeps"),
+            ):
+                argv = ["fg", "bp", "--graph", str(path), flag] + ([value] if value else [])
+                assert main(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(f"error: validation failed: {name}")
+                errors.setdefault((flag, value), set()).add(captured.err)
+        assert all(len(messages) == 1 for messages in errors.values())
+
+    def test_bp_rejects_a_cardinality_that_is_not_a_whole_number(self, capsys, files):
+        path = files["root"] / "fractional.json"
+        for card in (3.5, True, "2"):
+            path.write_text(json.dumps({
+                "variables": [{"id": "a", "cardinality": 2}, {"id": "b", "cardinality": card}],
+                "factors": [{"id": "h", "vars": ["a"], "table": [1.0, 2.0]}],
+            }))
+            assert main(["fg", "bp", "--graph", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input: bad variable entry {'id': 'b'")
+            assert f"cardinality {card!r} is not a whole number" in captured.err
+
     def test_bp_reports_a_vanished_message(self, capsys, files):
         path = files["root"] / "clash.json"
         path.write_text(json.dumps({

@@ -71,6 +71,17 @@ def test_factor_validation():
         Factor("f", ("a",), np.zeros(2))
 
 
+def test_factor_tables_outside_the_common_case_keep_their_messages():
+    bad = r"^factor 'f': table entries must be finite and nonnegative$"
+    for table in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [-0.5, 2.0], [np.nan, -1.0]):
+        with pytest.raises(ValidationError, match=bad):
+            Factor("f", ("a",), table)
+    with pytest.raises(ValidationError, match=r"^factor 'f': table is identically zero$"):
+        Factor("f", ("a", "b"), np.zeros((2, 3)))
+    # finite entries whose sum overflows are accepted
+    assert Factor("f", ("a",), [1e308, 1e308]).table.tolist() == [1e308, 1e308]
+
+
 def test_graph_validation():
     v = [Variable("a", 2)]
     with pytest.raises(ValidationError):
@@ -331,9 +342,10 @@ def reference_sweep(fg, state, damping=0.0):
     return MessageState(to_var, to_factor)
 
 
-def mixed_graph(rng, forest=False):
+def mixed_graph(rng, forest=False, zeros=()):
     """Arity-3 factors, one (2, 2) shape over different variable orders, and
-    cardinality-1 axes; ``forest`` drops the factors that close cycles."""
+    cardinality-1 axes; ``forest`` drops the factors that close cycles, and
+    each (factor id, index) of ``zeros`` sets those table entries to 0."""
     cards = {"a": 2, "b": 2, "c": 3, "d": 1, "e": 2, "s": 1}
     tables = [
         ("abc", ("a", "b", "c")),
@@ -349,19 +361,32 @@ def mixed_graph(rng, forest=False):
     if forest:
         tables = [t for t in tables if t[0] not in ("ba", "cde", "eb", "ced")]
     variables = [Variable(v, c) for v, c in cards.items()]
-    factors = [
-        Factor(fid, vs, rng.uniform(0.2, 1.0, size=[cards[v] for v in vs])) for fid, vs in tables
-    ]
+    factors = []
+    for fid, vs in tables:
+        table = rng.uniform(0.2, 1.0, size=[cards[v] for v in vs])
+        for zfid, index in zeros:
+            if zfid == fid:
+                table[index] = 0.0
+        factors.append(Factor(fid, vs, table))
     return FactorGraph(variables, factors)
 
 
-def _assert_sweep_matches_reference(fg, damping):
+# hard zeros at the ternary variable c: from uc alone, from uc and abc in
+# different states, and from both in the same state
+PLANTED_ZEROS = (
+    [("uc", (0,))],
+    [("uc", (0,)), ("abc", (..., 1))],
+    [("uc", (0,)), ("abc", (..., 0))],
+)
+
+
+def _assert_sweep_matches_reference(fg, damping, atol=1e-15):
     state = uniform_messages(fg)
     for _ in range(4):
         fast = bp_sweep(fg, state, damping=damping)
         slow = reference_sweep(fg, state, damping)
-        np.testing.assert_allclose(fast.to_var, slow.to_var, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(fast.to_factor, slow.to_factor, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fast.to_var, slow.to_var, rtol=0, atol=atol)
+        np.testing.assert_allclose(fast.to_factor, slow.to_factor, rtol=0, atol=atol)
         state = fast
 
 
@@ -374,14 +399,45 @@ def test_sweep_matches_a_per_edge_reference():
             _assert_sweep_matches_reference(mixed_graph(np.random.default_rng(seed)), damping)
 
 
+def test_sweep_matches_the_reference_with_hard_zeros():
+    for damping in (0.0, 0.3):
+        for zeros in PLANTED_ZEROS:
+            for seed in range(3):
+                fg = mixed_graph(np.random.default_rng(seed), zeros=zeros)
+                _assert_sweep_matches_reference(fg, damping)
+
+
+def test_sweep_matches_the_reference_on_a_grid_with_a_hub_and_hard_zeros():
+    # 8x8 ternary grid, the hub joined to every cell: the hub has degree 65
+    variables, pairwise = builders.grid(3, 8)
+    tables = builders.unary_tables(np.random.default_rng(3), variables)
+    for k in range(0, len(tables), 5):
+        tables[k][k % 3] = 0.0
+    tables[-1][1] = 0.0
+    unary = [Factor(f"u:{v.id}", (v.id,), t) for v, t in zip(variables, tables)]
+    fg = FactorGraph(variables, pairwise + unary)
+    assert len(fg.neighbors("hub")) == 65
+    for damping in (0.0, 0.3):
+        _assert_sweep_matches_reference(fg, damping, atol=1e-13)
+
+
 def test_tree_bp_on_the_mixed_forest_matches_the_oracle():
     for seed in range(5):
-        fg = mixed_graph(np.random.default_rng(seed), forest=True)
-        assert fg.is_forest()
-        beliefs = bp_beliefs(fg, bp_run_tree(fg))
-        exact = enumerate_fg_marginals(fg)
-        for vid in exact:
-            np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
+        for zeros in ((), *PLANTED_ZEROS):
+            fg = mixed_graph(np.random.default_rng(seed), forest=True, zeros=zeros)
+            assert fg.is_forest()
+            beliefs = bp_beliefs(fg, bp_run_tree(fg))
+            exact = enumerate_fg_marginals(fg)
+            for vid in exact:
+                np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
+
+
+def test_loopy_bp_does_not_walk_the_graph():
+    fg = cycle_graph(np.random.default_rng(500))
+    bp_beliefs(fg, bp_run(fg).state)
+    assert "order" not in vars(fg._layout)
+    assert not fg.is_forest()
+    assert validate_fg(fg)["n_components"] == 1
 
 
 # ----------------------------------------------------------------- JSON
@@ -415,3 +471,13 @@ def test_json_schema_errors():
                 "factors": [{"id": "f", "vars": ["a"], "table": [1.0, 2.0, 3.0]}],
             }
         )
+
+
+def test_json_cardinality_must_be_a_whole_number():
+    for card in (3.5, True, "2", None, float("nan")):
+        obj = {"variables": [{"id": "a", "cardinality": 2}, {"id": "z", "cardinality": card}],
+               "factors": []}
+        with pytest.raises(SchemaError, match=r"'id': 'z'.*is not a whole number"):
+            fg_from_json(obj)
+    obj = {"variables": [{"id": "a", "cardinality": 3.0}], "factors": []}
+    assert fg_from_json(obj).cardinality("a") == 3
