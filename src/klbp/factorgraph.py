@@ -91,14 +91,14 @@ class Factor:
             raise ValidationError(
                 f"factor {self.id!r}: table rank {table.ndim} for {len(vs)} variables"
             )
-        # two reductions accept the common table; the rest get the full checks
-        if not (table.min(initial=math.inf) >= 0.0 and 0.0 < table.sum() < math.inf):
-            if not np.all(np.isfinite(table)) or np.any(table < 0.0):
-                raise ValidationError(
-                    f"factor {self.id!r}: table entries must be finite and nonnegative"
-                )
-            if table.sum() <= 0.0:
-                raise ValidationError(f"factor {self.id!r}: table is identically zero")
+        # a NaN, a negative entry or -inf fails lo >= 0; +inf fails hi < inf
+        lo, hi = table.min(initial=math.inf), table.max(initial=-math.inf)
+        if not (lo >= 0.0 and hi < math.inf):
+            raise ValidationError(
+                f"factor {self.id!r}: table entries must be finite and nonnegative"
+            )
+        if not hi > 0.0:
+            raise ValidationError(f"factor {self.id!r}: table is identically zero")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -218,10 +218,8 @@ class _Layout:
 
     @cached_property
     def flood(self) -> "_VarGroup":
-        """Every variable as one group: slots in edge order, rows in belief order."""
-        cards = np.array(self.edge_cards, dtype=np.intp)
-        rows = np.arange(self.off[-1]) + np.repeat(self.var_off[self.edge_var] - self.off[:-1], cards)
-        return _VarGroup(slice(None), rows, int(self.var_off[-1]), self.off[:-1], cards)
+        """Every variable as one group, its rows in belief order."""
+        return self._var_groups([range(self.n_vars)])[0]
 
     @cached_property
     def tree_steps(self) -> list["_VarGroup | _FactorGroup"]:
@@ -407,7 +405,7 @@ class _VarGroup:
     are runs of ``lens[m]`` slots from ``cuts[m]``.
     """
 
-    slots: Array | slice
+    slots: Array
     rows: Array
     n_rows: int
     cuts: Array

@@ -71,13 +71,15 @@ def test_factor_validation():
         Factor("f", ("a",), np.zeros(2))
 
 
-def test_factor_tables_outside_the_common_case_keep_their_messages():
+def test_factor_table_faults_keep_their_messages():
     bad = r"^factor 'f': table entries must be finite and nonnegative$"
     for table in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [-0.5, 2.0], [np.nan, -1.0]):
         with pytest.raises(ValidationError, match=bad):
             Factor("f", ("a",), table)
-    with pytest.raises(ValidationError, match=r"^factor 'f': table is identically zero$"):
-        Factor("f", ("a", "b"), np.zeros((2, 3)))
+    for table in (np.zeros((2, 3)), np.zeros(0)):
+        with pytest.raises(ValidationError, match=r"^factor 'f': table is identically zero$"):
+            Factor("f", ("a", "b")[: table.ndim], table)
+    assert Factor("f", ("a",), [-0.0, 1.0]).table.tolist() == [-0.0, 1.0]
     # finite entries whose sum overflows are accepted
     assert Factor("f", ("a",), [1e308, 1e308]).table.tolist() == [1e308, 1e308]
 
