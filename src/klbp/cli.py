@@ -33,7 +33,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import BudgetError, SchemaError, ValidationError
+from .errors import BudgetError, SchemaError, ValidationError, worst_error
 
 EXIT_OK = 0
 EXIT_NO_FILE = 1
@@ -106,7 +106,7 @@ def _check(error: float, tol: float, ok: bool | None = None) -> dict:
 
 def _max_gap(got: dict, want: dict) -> float:
     """Largest absolute entry gap between matching arrays, over ``got``'s keys."""
-    return max(float(np.abs(got[k] - want[k]).max()) for k in got)
+    return worst_error(np.abs(got[k] - want[k]).max() for k in got)
 
 
 def _parse_at(text: str, graph) -> dict:
@@ -215,7 +215,7 @@ def _adjoints(graph, at: dict, factor) -> tuple[dict, float]:
     seed = compgraph.seed_score(factor, trace.values[graph.output])
     ref = oracle.reference_gradient(graph, at, seed)
     outputs = {"output": trace.values[graph.output], "seed": seed, "adjoints": adj}
-    return outputs, max(abs(adj[nid] - ref[nid]) for nid in ref)
+    return outputs, worst_error(abs(adj[nid] - ref[nid]) for nid in ref)
 
 
 def _enum_gradient(model, theta) -> tuple:
@@ -229,7 +229,7 @@ def _enum_gradient(model, theta) -> tuple:
         return float(np.log(posterior.marginal_likelihood(model, t, method="enum")))
 
     fd = oracle.finite_diff_grad(log_ml, theta)
-    return grad, max((abs(g - f) / max(1.0, abs(f)) for g, f in zip(grad, fd)), default=0.0)
+    return grad, worst_error(abs(g - f) / max(1.0, abs(f)) for g, f in zip(grad, fd))
 
 
 def _dirac_limit(model, theta, x_star: tuple) -> tuple[dict, float]:
@@ -277,11 +277,8 @@ def cmd_spn_gates(args):
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
     gates = spn.gate_report(circuit, S, D)
-    norm_gap = max((abs(float(g["b"].sum()) - 1.0) for g in gates.values()), default=0.0)
-    glob_gap = max(
-        (float(np.abs(g["global"] - g["pi"] * g["b"]).max()) for g in gates.values()),
-        default=0.0,
-    )
+    norm_gap = worst_error(abs(float(g["b"].sum()) - 1.0) for g in gates.values())
+    glob_gap = worst_error(np.abs(g["global"] - g["pi"] * g["b"]).max() for g in gates.values())
     checks = {
         "local_normalization": _check(norm_gap, 1e-12),
         "global_factorization": _check(glob_gap, 1e-12),
@@ -469,9 +466,7 @@ def cmd_dag_adjoints(args):
         return compgraph.phi_log(factor, sub.values[graph.output])
 
     fd = oracle.finite_diff_grad(log_phi, np.array([at[n] for n in names]))
-    fd_gap = max(
-        abs(adj[n] - g) / max(1.0, abs(g)) for n, g in zip(names, fd)
-    )
+    fd_gap = worst_error(abs(adj[n] - g) / max(1.0, abs(g)) for n, g in zip(names, fd))
     checks = {
         "independent_accumulator": _check(ref_gap, 1e-12),
         "finite_differences": _check(fd_gap, 1e-6),
@@ -498,10 +493,11 @@ def cmd_dag_gauge(args):
 
     base = slope()
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        scales = {f"edge{j}": float(np.exp(rng.uniform(-2.0, 2.0))) for j in range(4)}
-        worst = max(worst, abs(slope(scales) - base))
+
+    def scales() -> dict:
+        return {f"edge{j}": float(np.exp(rng.uniform(-2.0, 2.0))) for j in range(4)}
+
+    worst = worst_error(abs(slope(scales()) - base) for _ in range(args.trials))
     outputs = {"slope": base, "trials": args.trials}
     return outputs, {"gauge_invariance": _check(worst, 1e-12)}
 
@@ -586,10 +582,8 @@ def cmd_oracle_compare(args):
     checks = {}
     for kind in kinds:
         fn, tols = _COMPARERS[kind]
-        worst = {name: 0.0 for name in tols}
-        for i in range(args.count):
-            for name, err in fn(args.seed + i).items():
-                worst[name] = max(worst[name], err)
+        errors = [fn(args.seed + i) for i in range(args.count)]
+        worst = {name: worst_error(err[name] for err in errors) for name in tols}
         outputs[kind] = {"instances": args.count, "max_error": worst}
         for name, tol in tols.items():
             checks[f"{kind}.{name}"] = _check(worst[name], tol)

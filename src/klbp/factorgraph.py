@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, whole_number
 
 Array = np.ndarray
 
@@ -62,11 +62,10 @@ class Variable:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError(f"variable id must be a nonempty string, got {self.id!r}")
-        if int(self.cardinality) < 1:
-            raise ValidationError(
-                f"variable {self.id!r} has cardinality {self.cardinality}"
-            )
-        object.__setattr__(self, "cardinality", int(self.cardinality))
+        card = whole_number(self.cardinality, f"variable {self.id!r}: cardinality")
+        if card < 1:
+            raise ValidationError(f"variable {self.id!r} has cardinality {self.cardinality}")
+        object.__setattr__(self, "cardinality", card)
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,10 +580,7 @@ def fg_from_json(obj) -> FactorGraph:
     variables = []
     for entry in obj["variables"]:
         try:
-            card = entry["cardinality"]
-            if type(card) not in (int, float) or not float(card).is_integer():
-                raise ValueError(f"cardinality {card!r} is not a whole number")
-            variables.append(Variable(entry["id"], int(card)))
+            variables.append(Variable(entry["id"], entry["cardinality"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad variable entry {entry!r}: {exc}") from exc
     card = {v.id: v.cardinality for v in variables}

@@ -24,9 +24,14 @@ adjoint from the edge adjoints that end at it and writing its own edge
 adjoints (sums: D times the weight; products: D times the product of the
 siblings, from prefix and suffix products).  All arrays are (rows, batch):
 a single query is a batch of one, and ``marginal_batch`` runs many evidence
-columns through the same two passes.  ``ValueMap`` and ``AdjointMap`` hold
-only a pass's arrays, read through read-only mappings keyed by node id or
-by (parent id, child position); readouts refuse a map from another circuit.
+columns through the same two passes.  ``Evidence`` keeps one flat vector.
+When its layout (variable names and sizes, in order) is the schedule's own,
+as with variables in ``variable_order``, that vector is the evidence column
+the passes read, with no copy and no per-variable check; evidence in any
+other layout is checked and gathered into schedule order.  ``ValueMap`` and
+``AdjointMap`` hold only a pass's arrays, read through read-only mappings
+keyed by node id or by (parent id, child position); readouts refuse a map
+from another circuit.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, whole_number
 from .toposort import topo_sort
 
 Array = np.ndarray
@@ -68,7 +74,7 @@ class SpnNode:
                 raise ValidationError(f"leaf {self.id!r} cannot have children")
             if not isinstance(self.var, str) or not self.var:
                 raise ValidationError(f"leaf {self.id!r} needs a variable name")
-            if self.state is None or int(self.state) < 0:
+            if self.state is None or whole_number(self.state, f"leaf {self.id!r}: state") < 0:
                 raise ValidationError(f"leaf {self.id!r} needs a state index >= 0")
             object.__setattr__(self, "state", int(self.state))
         else:
@@ -257,23 +263,28 @@ def require_valid(circuit: SpnCircuit) -> None:
 # -------------------------------------------------------------- evidence
 
 
-@dataclass(frozen=True, eq=False)
 class Evidence:
-    """Per-variable indicator values lambda, nonnegative with nonempty support,
-    kept as read-only slices of one copy; the caller's arrays stay untouched."""
+    """Per-variable indicator values lambda, nonnegative with nonempty support.
 
-    lam: dict
+    The values are copied once into one read-only flat vector: variables in
+    the order given (``names``), each variable's states in order, so the
+    caller's arrays stay untouched.  ``lam`` is a read-only mapping from each
+    variable to its slice of that vector, built on first access.  When the
+    evidence's layout (names and sizes) is a schedule's own, the flat vector
+    itself is the evidence column the passes read, with no copy.
+    """
 
-    def __post_init__(self):
-        names = list(self.lam)
-        arrays = [np.asarray(values, dtype=float) for values in self.lam.values()]
+    def __init__(self, lam: Mapping):
+        names = tuple(lam)
+        arrays = [np.asarray(values, dtype=float) for values in lam.values()]
         # the variables before the first malformed one are checked together;
         # an error names the first failing variable and its first failing check
         n = next((i for i, a in enumerate(arrays) if a.ndim != 1 or a.size == 0), len(arrays))
+        sizes = tuple(a.size for a in arrays[:n])
+        cuts = [0, *itertools.accumulate(sizes)]
         flat = np.concatenate(arrays[:n]) if n else np.empty(0)
-        bounds = np.cumsum([0, *(a.size for a in arrays[:n])])
-        bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), bounds[:-1])
-        empty = ~np.logical_or.reduceat(flat > 0.0, bounds[:-1])
+        bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), cuts[:-1])
+        empty = ~np.logical_or.reduceat(flat > 0.0, cuts[:-1])
         failed = np.flatnonzero(bad | empty)
         if failed.size:
             i = failed[0]
@@ -282,9 +293,17 @@ class Evidence:
         if n < len(names):
             raise ValidationError(f"evidence for {names[n]!r} must be a 1-d vector")
         flat.flags.writeable = False
-        cuts = bounds.tolist()
-        object.__setattr__(self, "lam", {v: flat[a:b] for v, a, b in zip(names, cuts, cuts[1:])})
-        object.__setattr__(self, "_flat", flat)
+        self.names = names
+        self._flat = flat
+        self._cuts = cuts
+        self._layout = (names, sizes)
+
+    @cached_property
+    def lam(self) -> Mapping:
+        cuts = self._cuts
+        return MappingProxyType(
+            {v: self._flat[a:b] for v, a, b in zip(self.names, cuts, cuts[1:])}
+        )
 
     def is_soft(self) -> bool:
         return bool(np.all(self._flat > 0.0))
@@ -342,8 +361,9 @@ class _Schedule:
     plus a unit row (value 1, log 0, adjoint 0) that pads child matrices.
     Edge arrays have one row per padded (node, child position) plus a zero
     row.  Evidence is a column of ``n_slots`` entries, one per (variable,
-    state) in ``variable_order``.  The second axis of every array is the
-    batch axis; a single query is a batch of one.
+    state) in ``variable_order``; ``layout`` is that order with each
+    variable's cardinality, compared with an evidence's own.  The second
+    axis of every array is the batch axis; a single query is a batch of one.
     """
 
     def __init__(self, circuit: SpnCircuit):
@@ -364,6 +384,7 @@ class _Schedule:
         self.cards = [circuit.cardinality(v) for v in self.variables]
         self.offsets = [0, *itertools.accumulate(self.cards)]
         self.n_slots = self.offsets[-1]
+        self.layout = (tuple(self.variables), tuple(self.cards))
         first_slot = dict(zip(self.variables, self.offsets))
 
         self.groups: list[_Group] = []
@@ -502,11 +523,14 @@ def _padded(lists: list, pad, width: int | None = None) -> Array:
 
 
 def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
+    """The evidence as one column of schedule slots: the evidence's own flat
+    vector when its layout is the schedule's (which satisfies
+    ``check_evidence`` by construction), else checked and gathered."""
     sched = circuit._schedule
-    arrays = [e.lam.get(v, ()) for v in sched.variables]
-    if list(map(len, arrays)) != sched.cards:
-        check_evidence(circuit, e)
-    return np.concatenate(arrays)[:, None]
+    if e._layout == sched.layout:
+        return e._flat[:, None]
+    check_evidence(circuit, e)
+    return np.concatenate([e.lam[v] for v in sched.variables])[:, None]
 
 
 # ---------------------------------------------------------------- passes
@@ -584,7 +608,6 @@ def upward_pass(
     """
     if check:
         require_valid(circuit)
-        check_evidence(circuit, e)
     sched = circuit._schedule
     S = sched.up(_evidence_column(circuit, e))
     if S[sched.root, 0] <= 0.0 and not allow_zero_root:
@@ -597,7 +620,6 @@ def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> 
     """Log-domain twin of the upward pass (-inf encodes exact zeros)."""
     if check:
         require_valid(circuit)
-        check_evidence(circuit, e)
     sched = circuit._schedule
     L = sched.up_log(_evidence_column(circuit, e))
     if L[sched.root, 0] == -math.inf:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import BudgetError
-from .errors import ValidationError
+from .errors import ValidationError, worst_error
 from .factorgraph import Factor, FactorGraph, Variable
 from .spn import (
     Evidence,
@@ -370,16 +370,16 @@ def lipschitz_probe(
         values[start : start + n] = p
         # row t of each block is column t of J; the 2-norm ignores the transpose
         Jt = p[:, :, None] * (given - p[:, None, :])
-        L_hat = max(L_hat, float(np.linalg.norm(Jt, 2, axis=(1, 2)).max()))
+        L_hat = worst_error([L_hat, np.linalg.norm(Jt, 2, axis=(1, 2)).max()])
 
     worst = 0.0
     ok = True
     for i in range(n_samples):
         bound = L_hat * np.linalg.norm(points[i + 1 :] - points[i], axis=1)
         ndp = np.linalg.norm(values[i + 1 :] - values[i], axis=1)
-        ok = ok and not (ndp > 1.05 * bound).any()
+        ok = ok and bool((ndp <= 1.05 * bound).all())  # a NaN fails
         live = bound > 0
-        worst = max(worst, float((ndp[live] / bound[live]).max(initial=0.0)))
+        worst = worst_error([worst, (ndp[live] / bound[live]).max(initial=0.0)])
     return {
         "L_hat": L_hat,
         "worst_pair_ratio": worst,

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from klbp.cli import main, stable_dumps
+from klbp.errors import worst_error
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +307,25 @@ class TestSpnCommands:
             assert main(["spn", "validate", "--circuit", str(path)]) == 2
             assert capsys.readouterr().err.startswith("error: bad input: bad circuit node")
 
+    def test_leaf_state_that_is_not_a_whole_number_exits_2(self, capsys, files):
+        circuit = json.loads(Path(files["circuit"]).read_text())
+        path = files["root"] / "state.json"
+        for state in (1.5, True, "1"):
+            bad = json.loads(json.dumps(circuit))
+            next(n for n in bad["nodes"] if n["id"] == "lx1")["state"] = state
+            path.write_text(json.dumps(bad))
+            assert main(["spn", "marginals", "--circuit", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad input: bad circuit node")
+            assert f"leaf 'lx1': state {state!r} is not a whole number" in captured.err
+        next(n for n in circuit["nodes"] if n["id"] == "lx1")["state"] = 1.0
+        path.write_text(json.dumps(circuit))
+        code, rep = run_cli(capsys, "spn", "marginals", "--circuit", str(path))
+        code_int, rep_int = run_cli(capsys, "spn", "marginals", "--circuit", files["circuit"])
+        assert code == code_int == 0
+        assert rep["outputs"] == rep_int["outputs"]
+
     def test_non_numeric_evidence_exits_2(self, capsys, files):
         path = files["root"] / "nonnumeric_lambda.json"
         # a negative entry is a semantic error, which also exits 2 for evidence
@@ -553,6 +574,19 @@ class TestDagCommands:
         assert code == 0
         assert rep["checks"]["gauge_invariance"]["max_abs_error"] <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_gauge_fails_closed_on_a_nan_slope(self, capsys, tmp_path):
+        prefix = tmp_path / "d"
+        assert main(["gen", "dag", "--seed", "1", "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        code, rep = run_cli(
+            capsys, "dag", "gauge", "--graph", f"{prefix}.dag.json", "--factor", "exp:1",
+            "--at", "x0=1e300,x1=1", "--var", "x0",
+        )
+        assert code == 3
+        assert rep["outputs"]["slope"] == "nan" and rep["pass"] is False
+        assert rep["checks"]["gauge_invariance"]["max_abs_error"] == "nan"
+
     def test_bad_factor_spec_exits_2(self, capsys, files):
         code, _ = run_cli(
             capsys, "dag", "adjoints",
@@ -745,6 +779,14 @@ class TestGen:
             assert code == 0, kind
         code, rep = run_cli(capsys, "fg", "bp", "--graph", "g_fg.fg.json")
         assert code == 0
+
+
+def test_worst_error_keeps_a_nan_wherever_it_comes():
+    assert math.isnan(worst_error([0.5, float("nan"), 2.0]))
+    assert math.isnan(worst_error(iter([1.0, 3.0, np.float64("nan")])))
+    assert max(0.5, float("nan"), 2.0) == 2.0  # the builtin drops it
+    assert worst_error([0.5, 2.0, 1.0]) == 2.0
+    assert worst_error([]) == 0.0
 
 
 class TestReportPlumbing:

@@ -475,6 +475,13 @@ def test_json_schema_errors():
         )
 
 
+def test_variable_cardinality_must_be_a_whole_number():
+    for card in (3.5, True, "2"):
+        with pytest.raises(ValidationError, match=f"variable 'x': cardinality {card!r} is not"):
+            Variable("x", card)
+    assert Variable("x", 3.0).cardinality == 3 and type(Variable("x", 3.0).cardinality) is int
+
+
 def test_json_cardinality_must_be_a_whole_number():
     for card in (3.5, True, "2", None, float("nan")):
         obj = {"variables": [{"id": "a", "cardinality": 2}, {"id": "z", "cardinality": card}],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from klbp.generators import gen_spn
 from klbp.oracle import enumerate_spn_marginals, finite_diff_grad
 from klbp.spn import (
     AdjointMap,
+    _evidence_column,
     Evidence,
     SpnCircuit,
     SpnNode,
@@ -88,6 +90,14 @@ class TestStructure:
             SpnNode("l", "leaf", var="X")
         with pytest.raises(ValidationError):
             SpnNode("l", "leaf", state=0)
+
+    def test_leaf_state_must_be_a_whole_number(self):
+        for state in (1.5, True, "1", float("nan")):
+            message = re.escape(f"leaf 'l': state {state!r} is not a whole number")
+            with pytest.raises(ValidationError, match=message):
+                SpnNode("l", "leaf", var="X", state=state)
+        leaf = SpnNode("l", "leaf", var="X", state=1.0)
+        assert leaf.state == 1 and type(leaf.state) is int
 
     def test_weight_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -244,6 +254,70 @@ class TestEvidence:
         c = two_component_circuit()
         with pytest.raises(ValidationError, match="evidence missing variable 'Y'"):
             run(c, Evidence({"X": [1.0, 1.0]}), check=False)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            ({"X": [1.0, 1.0]}, "evidence missing variable 'Y'"),
+            ({"Y": [1.0, 1.0], "X": [1.0, 1.0, 1.0]}, "evidence for 'X' has 3 states, circuit uses 2"),
+        ],
+    )
+    def test_mismatched_evidence_is_named_on_every_path(self, lam, message):
+        c = two_component_circuit()
+        e = Evidence(lam)
+        S, D = run_passes(c, soft_evidence())
+        for run in (
+            lambda: upward_pass(c, e, check=False),
+            lambda: upward_pass_log(c, e, check=False),
+            lambda: marginal_arrays(c, e, S, D),
+            lambda: euler_residuals(c, e, S, D),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                run()
+
+    def test_lam_is_a_read_only_mapping_of_read_only_views(self):
+        e = Evidence({"Y": [1.0, 0.8], "X": [1.0, 0.5]})
+        assert e.names == ("Y", "X") and list(e.lam) == ["Y", "X"] and "X" in e.lam
+        with pytest.raises(TypeError):
+            e.lam["X"] = np.ones(2)
+        assert not any(view.flags.writeable for view in e.lam.values())
+        assert all(np.shares_memory(view, e._flat) for view in e.lam.values())
+        copied = dict(e.lam)
+        assert list(copied) == ["Y", "X"]
+        assert all(copied[v] is view for v, view in e.lam.items())
+        again = Evidence(e.lam)
+        assert again.names == e.names
+        assert again._flat.tobytes() == e._flat.tobytes()
+
+    def test_matching_layout_is_read_in_place(self):
+        c = two_component_circuit()
+        e = soft_evidence()  # variables in the circuit's variable_order
+        S, D = run_passes(c, e)
+        marginal_arrays(c, e, S, D)
+        upward_pass_log(c, e)
+        assert "lam" not in vars(e)  # no pass built the per-variable views
+        assert np.shares_memory(_evidence_column(c, e), e._flat)
+        turned = Evidence({"Y": [1.0, 0.8], "X": [1.0, 0.5]})
+        column = _evidence_column(c, turned)
+        assert not np.shares_memory(column, turned._flat)
+        assert column.tobytes() == _evidence_column(c, e).tobytes()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("seed", range(0, 300, 25))
+    def test_passes_are_bitwise_equal_in_any_variable_order(self, seed, shared):
+        c, e = gen_spn(seed, shared=shared)
+        variants = [
+            Evidence({v: e.lam[v] for v in reversed(e.names)}),
+            Evidence({"extra": [2.0, 0.5], **e.lam}),
+            Evidence({**e.lam, "extra": [1.0]}),
+        ]
+        S, D = run_passes(c, e)
+        want = [S.S, D.D, D.E, upward_pass_log(c, e)._A, *marginal_arrays(c, e, S, D).values()]
+        for other in variants:
+            S2, D2 = run_passes(c, other)
+            got = [S2.S, D2.D, D2.E, upward_pass_log(c, other)._A]
+            got += marginal_arrays(c, other, S2, D2).values()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestPasses:
