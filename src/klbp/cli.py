@@ -226,7 +226,7 @@ def _enum_gradient(model, theta) -> tuple:
     grad = posterior.posterior_grad_enum(model, theta)
 
     def log_ml(t):
-        return float(np.log(posterior.marginal_likelihood(model, t, method="enum")))
+        return posterior.log_marginal_likelihood(model, t, method="enum")
 
     fd = oracle.finite_diff_grad(log_ml, theta)
     return grad, worst_error(abs(g - f) / max(1.0, abs(f)) for g, f in zip(grad, fd))

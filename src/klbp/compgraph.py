@@ -260,28 +260,30 @@ class NegLossTemp:
 OutputFactor = ExpScale | NegLossTemp
 
 
-def seed_score(factor: OutputFactor, z_star: float) -> float:
-    """phi'(z*)/phi(z*), the log-derivative of the output factor."""
+def seed_score(factor: OutputFactor, z_star):
+    """phi'(z*)/phi(z*), the log-derivative of the output factor, elementwise
+    on an array of z* (an exponential factor's constant score broadcasts)."""
     if isinstance(factor, ExpScale):
         return factor.alpha
     if isinstance(factor, NegLossTemp):
         if factor.kind == "squared_error":
             lprime = z_star - factor.param
         else:
-            lprime = _sigmoid(z_star) - factor.param
+            # the sigmoid as e^min(z, 0) / (1 + e^-|z|), which cannot overflow
+            lprime = np.exp(np.minimum(z_star, 0.0)) / (1.0 + np.exp(-abs(z_star))) - factor.param
         return -lprime / factor.temperature
     raise ValidationError(f"unknown output factor {factor!r}")
 
 
-def phi_log(factor: OutputFactor, z: float) -> float:
-    """log phi(z)."""
+def phi_log(factor: OutputFactor, z):
+    """log phi(z), elementwise on an array of z."""
     if isinstance(factor, ExpScale):
         return factor.alpha * z
     if isinstance(factor, NegLossTemp):
         if factor.kind == "squared_error":
             loss = 0.5 * (z - factor.param) ** 2
         else:
-            loss = _softplus(z) - factor.param * z
+            loss = np.logaddexp(0.0, z) - factor.param * z
         return -loss / factor.temperature
     raise ValidationError(f"unknown output factor {factor!r}")
 
@@ -362,13 +364,21 @@ _GRID_POINTS = 5
 
 
 def slope_from_grid(grid, values) -> float:
-    """Central-difference slope at the middle point of an odd uniform grid."""
+    """Central-difference slope at the middle point of an odd uniform grid;
+    raises when the points around the middle coincide or it is not finite."""
     g = np.asarray(grid, dtype=float)
     vals = np.asarray(values, dtype=float)
     if g.size != vals.size or g.size < 3 or g.size % 2 == 0:
         raise ValidationError("slope needs an odd grid of at least 3 points")
     mid = g.size // 2
-    return float((vals[mid + 1] - vals[mid - 1]) / (g[mid + 1] - g[mid - 1]))
+    width = g[mid + 1] - g[mid - 1]
+    if width == 0.0:
+        raise ValidationError(f"slope grid points coincide at {float(g[mid])!r}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = float((vals[mid + 1] - vals[mid - 1]) / width)
+    if not math.isfinite(slope):
+        raise ValidationError(f"slope is not finite ({slope!r})")
+    return slope
 
 
 def centered_grid(center: float, half_width: float) -> np.ndarray:

@@ -343,7 +343,7 @@ class MessageState:
     to_factor: Array
 
 
-# how a vanished message is named, from its edge (factor id, variable id)
+# how a failed message is named, from its edge (factor id, variable id)
 _TO_VAR = "{0[0]}->{0[1]}"
 _TO_FACTOR = "{0[1]}->{0[0]}"
 
@@ -351,14 +351,16 @@ _TO_FACTOR = "{0[1]}->{0[0]}"
 def _normalize(arr: Array, starts: Array, name: str, items) -> Array:
     """Scale each segment ``arr[starts[k]:starts[k + 1]]`` to unit sum, in place.
 
-    A segment whose sum is zero or not finite is a message that vanished;
-    the error names the first one, k, as ``name.format(items[k])``.
+    A segment whose sum is +inf is a message that overflowed; one whose sum
+    is zero, or NaN (log-domain products of disjoint supports), vanished.
+    The error names the first failed one, k, as ``name.format(items[k])``.
     """
     totals = np.add.reduceat(arr, starts[:-1])
     ok = np.isfinite(totals) & (totals > 0.0)
     if not ok.all():
-        what = name.format(items[int(np.argmin(ok))])
-        raise ValidationError(f"message {what} vanished (contradictory constraints)")
+        k = int(np.argmin(ok))
+        fate = "overflowed" if totals[k] == np.inf else "vanished (contradictory constraints)"
+        raise ValidationError(f"message {name.format(items[k])} {fate}")
     arr /= np.repeat(totals, starts[1:] - starts[:-1])
     return arr
 
@@ -464,7 +466,7 @@ def bp_sweep(fg: FactorGraph, state: MessageState, *, damping: float = 0.0) -> M
     _check_damping(damping)
     lay = fg._layout
     new = MessageState(np.empty_like(state.to_var), np.empty_like(state.to_factor))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for group in (*lay.factor_groups, lay.flood):
             group.propagate(state, new)
         _normalize(new.to_var, lay.off, _TO_VAR, lay.edges)
@@ -485,7 +487,7 @@ def message_delta(a: MessageState, b: MessageState) -> float:
 def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
     """Normalized per-variable beliefs (products of incoming messages)."""
     lay = fg._layout
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, _, total, zeros = lay.flood.totals(state.to_var)
         total = np.where(zeros > 0.0, -np.inf, total)
         total -= np.repeat(np.maximum.reduceat(total, lay.var_off[:-1]), lay.cards)
@@ -542,7 +544,7 @@ def bp_run_tree(fg: FactorGraph) -> MessageState:
     if not lay.forest:
         raise ValidationError("two-pass schedule requires an acyclic factor graph")
     state = uniform_messages(fg)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for group in lay.tree_steps:
             group.propagate(state, state)
         # contradicting factors meet at a variable, so its messages are checked first

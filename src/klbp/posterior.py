@@ -12,10 +12,16 @@ exponential-in-z, so the posterior factorizes -- a per-variable pass that
 only touches marginal posteriors.  A Dirac-prior check collapses the
 expectation to a single point and compares against the reverse-sweep
 adjoint composition.
+
+One log-space enumeration (log prior + log phi(z) over the full grid)
+serves the log marginal likelihood, the gradient and the Dirac check.  It
+and the per-variable route normalize by a log-sum-exp about the largest
+entry, so a sharp likelihood neither underflows nor overflows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,75 +150,70 @@ def _score_sweep(model: DiscretePriorModel, theta: Array, jacobians: bool = True
     return z_tables, jacs
 
 
-def _broadcast(vec: Array, axis: int, m: int) -> Array:
-    shape = [1] * m
-    shape[axis] = vec.size
-    return vec.reshape(shape)
-
-
-def _joint_weights(model: DiscretePriorModel, z_tables: list) -> tuple:
-    """Unnormalized posterior over the full grid and the total score."""
+def _log_joint(model: DiscretePriorModel, z_tables: list, prior_arrays) -> tuple:
+    """log prior + log phi(z) over the full grid (-inf off a point prior or
+    where the likelihood overflows), and the total score z."""
     check_assignments(model.grid_size(), what="posterior enumeration")
-    m = model.m
-    z_tot = np.zeros([g.size for g in model.grids])
-    log_prior = np.zeros_like(z_tot)
-    for i in range(m):
-        z_tot = z_tot + _broadcast(z_tables[i], i, m)
-        log_prior = log_prior + _broadcast(np.log(model.priors[i].probs), i, m)
-    log_lik = np.vectorize(lambda z: phi_log(model.likelihood, z))(z_tot)
-    weights = np.exp(log_prior + log_lik)
-    return weights, z_tot
+    with np.errstate(divide="ignore", over="ignore"):
+        z_tot = functools.reduce(np.add.outer, z_tables)
+        log_prior = functools.reduce(np.add.outer, map(np.log, prior_arrays))
+        return log_prior + phi_log(model.likelihood, z_tot), z_tot
 
 
-def marginal_likelihood(
+def _log_normalize(log_w: Array) -> tuple:
+    """log sum exp(log_w), taken about the largest entry, and the weights
+    exp(log_w) scaled to unit sum."""
+    top = log_w.max()
+    if not np.isfinite(top):
+        raise ValidationError("posterior has no mass")
+    w = np.exp(log_w - top)
+    total = w.sum()
+    return float(top + np.log(total)), w / total
+
+
+def log_marginal_likelihood(
     model: DiscretePriorModel, theta: Array, *, method: str = "auto"
 ) -> float:
-    """Sum of prior times likelihood over the whole grid.
+    """log of the sum of prior times likelihood over the whole grid.
 
-    ``method``: "enum" forces enumeration; "auto" takes the per-variable
-    product when the likelihood is exponential and enumeration otherwise.
+    ``method``: "enum" forces enumeration; "auto" sums the per-variable
+    log-sum-exps when the likelihood is exponential and enumerates otherwise.
     """
     if method not in ("auto", "enum"):
         raise ValidationError(f"unknown method {method!r}")
     z_tables = score_tables(model, theta)
     if method == "auto" and isinstance(model.likelihood, ExpScale):
         alpha = model.likelihood.alpha
-        value = 1.0
-        for p, z in zip(model.priors, z_tables):
-            value *= float(np.sum(p.probs * np.exp(alpha * z)))
-        return value
-    weights, _ = _joint_weights(model, z_tables)
-    return float(weights.sum())
+        return sum(
+            _log_normalize(np.log(p.probs) + alpha * z)[0]
+            for p, z in zip(model.priors, z_tables)
+        )
+    log_w, _ = _log_joint(model, z_tables, [p.probs for p in model.priors])
+    return _log_normalize(log_w)[0]
+
+
+def marginal_likelihood(
+    model: DiscretePriorModel, theta: Array, *, method: str = "auto"
+) -> float:
+    """exp of ``log_marginal_likelihood``: inf past the float range, 0.0 below it."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_marginal_likelihood(model, theta, method=method)))
 
 
 def posterior_grad_enum(model: DiscretePriorModel, theta: Array) -> Array:
     """E[s(z) d_theta z | observation] by explicit posterior enumeration."""
-    prior_arrays = [p.probs for p in model.priors]
-    return _grad_enum(model, theta, prior_arrays)
+    return _grad_enum(model, theta, [p.probs for p in model.priors])
 
 
 def _grad_enum(model: DiscretePriorModel, theta: Array, prior_arrays) -> Array:
     z_tables, jacs = _score_sweep(model, theta)
-    m = model.m
-    check_assignments(model.grid_size(), what="posterior enumeration")
-    z_tot = np.zeros([g.size for g in model.grids])
-    weights = np.ones_like(z_tot)
-    for i in range(m):
-        z_tot = z_tot + _broadcast(z_tables[i], i, m)
-        weights = weights * _broadcast(np.asarray(prior_arrays[i], dtype=float), i, m)
-    log_lik = np.vectorize(lambda z: phi_log(model.likelihood, z))(z_tot)
-    weights = weights * np.exp(log_lik)
-    total = weights.sum()
-    if not total > 0.0:
-        raise ValidationError("posterior has no mass")
-    post = weights / total
-    score = np.vectorize(lambda z: seed_score(model.likelihood, z))(z_tot)
+    log_w, z_tot = _log_joint(model, z_tables, prior_arrays)
+    tilted = _log_normalize(log_w)[1] * seed_score(model.likelihood, z_tot)
+    axes = tuple(range(model.m))
     grad = np.zeros(len(model.theta))
-    for k in range(len(model.theta)):
-        dz = np.zeros_like(z_tot)
-        for i in range(m):
-            dz = dz + _broadcast(jacs[i][:, k], i, m)
-        grad[k] = float(np.sum(post * score * dz))
+    for i, jac in enumerate(jacs):
+        # d_theta z = sum_i jac_i[x_i], so each term needs only x_i's marginal
+        grad += jac.T @ tilted.sum(axis=axes[:i] + axes[i + 1 :])
     return grad
 
 
@@ -230,8 +231,8 @@ def posterior_grad_bp(model: DiscretePriorModel, theta: Array) -> Array:
     z_tables, jacs = _score_sweep(model, theta)
     grad = np.zeros(len(model.theta))
     for p, z, jac in zip(model.priors, z_tables, jacs):
-        w = p.probs * np.exp(alpha * z)  # q_i ~ p_i exp(alpha z_i)
-        grad += alpha * (w[:, None] / w.sum() * jac).sum(axis=0)
+        q = _log_normalize(np.log(p.probs) + alpha * z)[1]  # q_i ~ p_i exp(alpha z_i)
+        grad += alpha * (q @ jac)
     return grad
 
 
@@ -254,11 +255,7 @@ def dirac_limit_check(
             raise ValidationError(
                 f"x_star[{i}] = {idx} outside grid of size {grid.size}"
             )
-    point_priors = []
-    for idx, grid in zip(x_star, model.grids):
-        vec = np.zeros(grid.size)
-        vec[idx] = 1.0
-        point_priors.append(vec)
+    point_priors = [np.eye(grid.size)[idx] for idx, grid in zip(x_star, model.grids)]
     left = _grad_enum(model, theta, point_priors)
 
     tdict = _theta_dict(model, theta)

@@ -422,17 +422,16 @@ class _Schedule:
             leaves_at[s].append(r)
         self.slot_leaves = _padded(leaves_at, self.unit)
 
-        # readout orders: sums by id, product edges by (id, position)
-        where = {}
-        for gi, g in enumerate(self.groups):
-            for i, nid in enumerate(ids[g.a : g.b]):
-                where[nid] = (gi, i)
+        # readout orders: sums by id, then their edges, product edges by (id, position)
         self.sum_ids = sorted(n.id for n in circuit.nodes if n.kind == "sum")
         self.sum_rows = np.array([row[nid] for nid in self.sum_ids], dtype=np.intp)
-        self.sum_groups = sorted({where[nid][0] for nid in self.sum_ids})
-        self.sum_cells = [
-            (nid, *where[nid], circuit.node(nid).children) for nid in self.sum_ids
-        ]
+        self.sum_children = [by_id[nid].children for nid in self.sum_ids]
+        self.sum_cuts = [0, *itertools.accumulate(map(len, self.sum_children))]
+        self.sum_edge_parents = np.repeat(self.sum_rows, np.diff(self.sum_cuts))
+        self.sum_edge_children = np.array(
+            [row[c] for children in self.sum_children for c in children], dtype=np.intp
+        )
+        self.sum_edge_weights = np.array([w for nid in self.sum_ids for w in by_id[nid].weights])
         self.product_edge_keys = sorted(
             edge for edge in self.edge_rows if by_id[edge[0]].kind == "product"
         )
@@ -711,29 +710,20 @@ def euler_residuals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap
 def gate_report(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     """Per-sum gate posteriors: local b_s, visit probability pi, global gate."""
     sched = _schedule_for(circuit, S, D)
-    Sa, Da = S.S, D.D
-    root = Sa[sched.root, 0]
-    per_group = {}
-    for gi in sched.sum_groups:
-        g = sched.groups[gi]
-        V, W = Sa[g.children, 0], g.weights[:, :, 0]
-        Sg, Dg = Sa[g.a : g.b, 0], Da[g.a : g.b, 0]
-        per_group[gi] = (
-            W * V / Sg[:, None],
-            (Dg * Sg / root).tolist(),
-            Dg[:, None] * W * V / root,
+    Sa, Da = S.S[:, 0], D.D[:, 0]
+    root = Sa[sched.root]
+    parents, w = sched.sum_edge_parents, sched.sum_edge_weights
+    child_values = Sa[sched.sum_edge_children]
+    local = w * child_values / Sa[parents]
+    glob = Da[parents] * w * child_values / root
+    pi = (Da[sched.sum_rows] * Sa[sched.sum_rows] / root).tolist()
+    cuts = sched.sum_cuts
+    return {
+        nid: {"children": children, "b": local[a:b], "pi": p, "global": glob[a:b]}
+        for nid, children, p, a, b in zip(
+            sched.sum_ids, sched.sum_children, pi, cuts, cuts[1:]
         )
-    out = {}
-    for nid, gi, i, children in sched.sum_cells:
-        local, pi, glob = per_group[gi]
-        k = len(children)
-        out[nid] = {
-            "children": children,
-            "b": local[i, :k],
-            "pi": pi[i],
-            "global": glob[i, :k],
-        }
-    return out
+    }
 
 
 def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:

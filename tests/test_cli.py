@@ -440,6 +440,22 @@ class TestFgCommands:
         assert captured.out == ""
         assert "message a->h vanished (contradictory constraints)" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bp_reports_an_overflowed_message(self, capsys, files):
+        path = files["root"] / "overflow.json"
+        path.write_text(json.dumps({
+            "variables": [{"id": v, "cardinality": 2} for v in "abc"],
+            "factors": [
+                {"id": "u", "vars": ["a"], "table": [1e308, 1e308]},
+                {"id": "h", "vars": ["a", "b"], "table": [1.0, 2.0, 3.0, 4.0]},
+                {"id": "k", "vars": ["b", "c"], "table": [1.0] * 4},
+            ],
+        }))
+        assert main(["fg", "bp", "--graph", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: validation failed: message u->a overflowed\n"
+
     def test_bp_rejects_a_graph_with_no_variables(self, capsys, files):
         path = files["root"] / "empty_fg.json"
         path.write_text(json.dumps({"schema": "v1", "variables": [], "factors": []}))
@@ -574,18 +590,19 @@ class TestDagCommands:
         assert code == 0
         assert rep["checks"]["gauge_invariance"]["max_abs_error"] <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gauge_fails_closed_on_a_nan_slope(self, capsys, tmp_path):
+        # at x0 = 1e300 the belief grid collapses to one float: a 0/0 slope
         prefix = tmp_path / "d"
         assert main(["gen", "dag", "--seed", "1", "--out", str(prefix)]) == 0
         capsys.readouterr()
-        code, rep = run_cli(
-            capsys, "dag", "gauge", "--graph", f"{prefix}.dag.json", "--factor", "exp:1",
+        code = main([
+            "dag", "gauge", "--graph", f"{prefix}.dag.json", "--factor", "exp:1",
             "--at", "x0=1e300,x1=1", "--var", "x0",
-        )
-        assert code == 3
-        assert rep["outputs"]["slope"] == "nan" and rep["pass"] is False
-        assert rep["checks"]["gauge_invariance"]["max_abs_error"] == "nan"
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: validation failed: slope grid points coincide at 1e+300\n"
 
     def test_bad_factor_spec_exits_2(self, capsys, files):
         code, _ = run_cli(
@@ -628,6 +645,23 @@ class TestPosteriorCommands:
         assert rep["outputs"]["marginal_likelihood"] == pytest.approx(1.5, abs=1e-12)
         assert rep["outputs"]["gradient"] == pytest.approx([2.0 / 3.0], abs=1e-12)
         assert rep["checks"]["marginal_route"]["pass"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grad_sharp_squared_error(self, capsys, files):
+        # the posterior sits on x = 1, where s(z) = -(1 - 3)/1e-3; the
+        # evidence underflows to 0.0 but its log stays exact
+        model = json.loads(Path(files["coin"]).read_text())
+        model["variables"][0].update(grid=np.linspace(-1.0, 1.0, 5).tolist(), prior=[0.2] * 5)
+        model["likelihood"] = {
+            "kind": "neg_loss", "loss": "squared_error", "param": 3.0, "temperature": 1e-3,
+        }
+        path = files["root"] / "sharp.json"
+        path.write_text(json.dumps(model))
+        code, rep = run_cli(capsys, "posterior", "grad", "--model", str(path), "--theta", "1")
+        assert code == 0 and rep["pass"]
+        assert rep["checks"]["finite_differences"]["pass"]
+        assert rep["outputs"]["gradient"] == pytest.approx([2000.0], rel=1e-12)
+        assert rep["outputs"]["marginal_likelihood"] == 0.0
 
     def test_dirac(self, capsys, files):
         code, rep = run_cli(

@@ -361,6 +361,33 @@ def test_phi_log_matches_seed_score_slope():
             assert fd == pytest.approx(seed_score(factor, z), rel=1e-6, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [
+        ExpScale(1.7),
+        NegLossTemp("squared_error", 0.3, 1.5),
+        NegLossTemp("logistic", 1.0, 0.7),
+        NegLossTemp("logistic", 0.0, 2.0),
+    ],
+)
+def test_output_factor_array_calls_match_scalar_calls(factor):
+    z = np.concatenate([np.linspace(-40.0, 40.0, 81), [-800.0, -1e-3, 0.0, 1e-3, 800.0]])
+    for fn in (phi_log, seed_score):
+        got = np.broadcast_to(fn(factor, z), z.shape)
+        want = [fn(factor, float(v)) for v in z]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_slope_from_grid_rejects_coinciding_points_and_non_finite_slopes():
+    with pytest.raises(ValidationError, match=r"coincide at 1e\+300"):
+        slope_from_grid(centered_grid(1e300, 0.1), np.zeros(5))
+    with pytest.raises(ValidationError, match=r"not finite \(nan\)"):
+        slope_from_grid(np.linspace(-1.0, 1.0, 5), [0.0, np.inf, 0.0, np.inf, 0.0])
+    with pytest.raises(ValidationError, match=r"not finite \(inf\)"):
+        slope_from_grid(np.linspace(-1e-300, 1e-300, 5), [0.0, -1e300, 0.0, 1e300, 0.0])
+
+
 # ----------------------------------------------------------------- JSON
 
 

@@ -312,6 +312,20 @@ def test_loopy_bp_names_the_first_vanished_message_in_edge_order():
             bp_run(fg, damping=damping)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bp_names_an_overflowed_message():
+    # u's message sums to 2e308: it overflowed, it did not vanish
+    overflowing = Factor("u", ("a",), [1e308, 1e308])
+    chain = [Factor("h", ("a", "b"), [[1.0, 2.0], [3.0, 4.0]]), Factor("k", ("b", "c"), np.ones((2, 2)))]
+    cycle = [*chain, Factor("ca", ("c", "a"), np.ones((2, 2)))]
+    variables = [Variable("a", 2), Variable("b", 2), Variable("c", 2)]
+    tree = FactorGraph(variables, [overflowing, *chain])
+    loopy = FactorGraph(variables, [overflowing, *cycle])
+    for run, fg in ((bp_run_tree, tree), (bp_run, loopy)):
+        with pytest.raises(ValidationError, match=r"^message u->a overflowed$"):
+            run(fg)
+
+
 def reference_sweep(fg, state, damping=0.0):
     """One flooding sweep edge by edge, with a plain einsum per factor message."""
     edges = fg.edges()

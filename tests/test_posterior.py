@@ -12,6 +12,7 @@ from klbp.oracle import finite_diff_grad, reference_gradient
 from klbp.posterior import (
     DiscretePriorModel,
     dirac_limit_check,
+    log_marginal_likelihood,
     marginal_likelihood,
     model_from_json,
     model_to_json,
@@ -148,8 +149,8 @@ class TestGradEnum:
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
 
     def test_posterior_mass_required(self):
-        # all-zero likelihood cannot happen (phi > 0), so drive weights to
-        # underflow instead: huge negative score with a big positive scale
+        # z = -800 + a: exp(z) underflows at every grid point, but the
+        # posterior is well defined (uniform) and d_a z = 1 everywhere
         graph = CompGraph(
             [
                 CompNode("x", "input"),
@@ -159,16 +160,61 @@ class TestGradEnum:
             ],
             "z",
         )
-        model = DiscretePriorModel(
-            ("x0",),
-            (np.array([0.0, 1.0]),),
-            (DistVec([0.5, 0.5]),),
-            (graph,),
-            ("a",),
-            ExpScale(1.0),
-        )
+
+        def model(likelihood):
+            return DiscretePriorModel(
+                ("x0",),
+                (np.array([0.0, 1.0]),),
+                (DistVec([0.5, 0.5]),),
+                (graph,),
+                ("a",),
+                likelihood,
+            )
+
+        assert posterior_grad_enum(model(ExpScale(1.0)), np.array([0.0])).tolist() == [1.0]
+        # |z| >= 10 with temperature 1e-308: the loss overflows, so log phi
+        # is -inf at every grid point and there is no mass
         with pytest.raises(ValidationError, match="no mass"):
-            posterior_grad_enum(model, np.array([0.0]))
+            posterior_grad_enum(
+                model(NegLossTemp("squared_error", 0.0, 1e-308)), np.array([0.0])
+            )
+
+
+def sharp_model(likelihood):
+    # one variable on linspace(-1, 1, 5), uniform prior, z = x a
+    return DiscretePriorModel(
+        ("x0",),
+        (np.linspace(-1.0, 1.0, 5),),
+        (DistVec(np.full(5, 0.2)),),
+        (linear_score_graph(),),
+        ("a",),
+        likelihood,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSharpLikelihood:
+    """Weights that under- or overflow in linear space stay exact in logs."""
+
+    def test_squared_error_gradient_is_the_closed_form(self):
+        # the posterior sits on x = 1: s(1) d_a z = -(1 - 3)/1e-3 * 1
+        model = sharp_model(NegLossTemp("squared_error", 3.0, 1e-3))
+        theta = np.array([1.0])
+        np.testing.assert_allclose(posterior_grad_enum(model, theta), [2000.0], rtol=1e-12)
+        assert marginal_likelihood(model, theta, method="enum") == 0.0
+        want = math.log(0.2) - 2.0 / 1e-3
+        assert log_marginal_likelihood(model, theta) == pytest.approx(want, rel=1e-12)
+
+    def test_exp_scale_gradient_on_both_routes(self):
+        model = sharp_model(ExpScale(800.0))
+        theta = np.array([1.0])
+        np.testing.assert_allclose(posterior_grad_enum(model, theta), [800.0], rtol=1e-12)
+        np.testing.assert_allclose(posterior_grad_bp(model, theta), [800.0], rtol=1e-12)
+        for method in ("auto", "enum"):
+            assert marginal_likelihood(model, theta, method=method) == math.inf
+            assert log_marginal_likelihood(model, theta, method=method) == pytest.approx(
+                800.0 + math.log(0.2 * (1.0 + math.exp(-400.0))), rel=1e-15
+            )
 
 
 class TestGradMarginalRoute:
