@@ -11,7 +11,11 @@ zeroes off-diagonal mass) and then onto products (right/M-projection, the
 product of marginals).  After the consensus step every iterate is supported
 on the diagonal, which we identify with the much smaller per-variable joint
 grid; dual vectors migrate to the identified grid by diagonal restriction,
-matching the relative-gradient convention for faces.
+matching the relative-gradient convention for faces.  The first entropy
+step forms only its right projection k on the lifted grid: diagonal
+restriction commutes with the elementwise updates, so log q, the duals and
+k are restricted at once and everything after k runs on the identified
+grid.
 
 The alternating scheme with dual corrections (a Dykstra-style hybrid of a
 right projection and a left projection, with correction vectors sigma and
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import budgets
 from .errors import ValidationError
-from .factorgraph import FactorGraph, require_positive_tables
+from .factorgraph import _EINSUM_AXES, FactorGraph, require_positive_tables
 from .simplex import (
     DistVec,
     Generator,
@@ -92,6 +96,11 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
     if not lay.edges:
         raise ValidationError("cannot lift a factor graph with no factors")
     sizes = tuple(lay.edge_cards)
+    if len(sizes) > _EINSUM_AXES:
+        raise ValidationError(
+            f"replica lift has {len(sizes)} axes; the lift's projections "
+            f"number at most {_EINSUM_AXES} einsum axes"
+        )
     n_entries = math.prod(sizes)
     budgets.check_joint_entries(n_entries, what="replica lift")
     ident = [i for i, v in enumerate(fg.variables) if fg.neighbors(v.id)]
@@ -325,34 +334,28 @@ def wr_step(space: ReplicatedSpace, gen: Generator, state: WrState) -> WrState:
 
 
 def _wr_step_entropy(space: ReplicatedSpace, state: WrState) -> WrState:
-    log_q = np.log(state.q)
-    corrected = softmax(log_q + state.sigma)
+    """Only k lives on the lifted grid; the tail after it runs on the
+    diagonal, where the consensus softmax normalizes about its own maximum
+    (a lifted-grid normalization would cancel in r = diag / sum(diag))."""
+    corrected = softmax(np.log(state.q) + state.sigma)
     if state.phase == "replicated":
         k = m_project_blocks(corrected, space.sizes, space.factor_blocks)
+        q, sigma, tau, k_diag = (
+            diagonal_restrict(space, a) for a in (state.q, state.sigma, state.tau, k)
+        )
     else:
-        k = _product_marginal_factors(corrected, space.ident_sizes)
-    log_k = np.log(k)
-    sigma_new = log_q + state.sigma - log_k
-
-    pre_consensus = softmax(log_k + state.tau)
-    if state.phase == "replicated":
-        diag = diagonal_restrict(space, pre_consensus)
-        total = diag.sum()
-        if total <= 0.0:
-            raise ValidationError("consensus diagonal carries zero mass")
-        r = diag / total
-        log_k_small = diagonal_restrict(space, log_k)
-        tau_small = diagonal_restrict(space, state.tau)
-        sigma_small = diagonal_restrict(space, sigma_new)
-    else:
-        r = pre_consensus
-        log_k_small = log_k
-        tau_small = state.tau
-        sigma_small = sigma_new
-
+        k = k_diag = _product_marginal_factors(corrected, space.ident_sizes)
+        q, sigma, tau = state.q, state.sigma, state.tau
+    log_k = np.log(k_diag)
+    pre_consensus = log_k + tau
+    # the diagonal total about a finite maximum is at least 1
+    if not np.isfinite(pre_consensus.max()):
+        raise ValidationError("consensus diagonal carries zero mass")
+    sigma_new = np.log(q) + sigma - log_k
+    r = softmax(pre_consensus)
     q_new = _product_marginal_factors(r, space.ident_sizes)
-    tau_new = log_k_small + tau_small - np.log(q_new)
-    return WrState("identified", state.n + 1, q_new, sigma_small, tau_new, k, r)
+    tau_new = log_k + tau - np.log(q_new)
+    return WrState("identified", state.n + 1, q_new, sigma_new, tau_new, k, r)
 
 
 def _wr_step_quadratic(

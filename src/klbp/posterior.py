@@ -208,7 +208,12 @@ def posterior_grad_enum(model: DiscretePriorModel, theta: Array) -> Array:
 def _grad_enum(model: DiscretePriorModel, theta: Array, prior_arrays) -> Array:
     z_tables, jacs = _score_sweep(model, theta)
     log_w, z_tot = _log_joint(model, z_tables, prior_arrays)
-    tilted = _log_normalize(log_w)[1] * seed_score(model.likelihood, z_tot)
+    w = _log_normalize(log_w)[1]
+    # a zero-weight point adds exactly 0 even where its score overflows; a
+    # positive-weight point keeps a non-finite score, so the sum fails closed
+    with np.errstate(over="ignore"):
+        score = seed_score(model.likelihood, z_tot)
+    tilted = w * np.where(w > 0.0, score, 0.0)
     axes = tuple(range(model.m))
     grad = np.zeros(len(model.theta))
     for i, jac in enumerate(jacs):

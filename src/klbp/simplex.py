@@ -24,6 +24,7 @@ right projection onto a product family is the familiar product of marginals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -171,9 +172,9 @@ def divergence(gen: Generator, r: DistVec, q: DistVec) -> float:
 
 def softmax(values: Array) -> Array:
     v = np.asarray(values, dtype=float)
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(v - v.max())
+    e /= e.sum()
+    return e
 
 
 # ------------------------------------------------------------ joint shapes
@@ -284,22 +285,19 @@ def m_project_blocks(
     """Right KL projection onto products across disjoint axis blocks.
 
     Each block keeps its internal joint structure; distinct blocks become
-    independent.  ``blocks`` must partition the axes.  Returns a flat
-    probability array in the original axis order.
+    independent.  ``blocks`` must partition the axes.  Each block marginal
+    is one sublist einsum, and their outer product, taken in block order, is
+    transposed back (a view when the blocks are ascending and contiguous, as
+    in the replica lift).  Returns a flat array in the original axis order.
     """
     arr = np.asarray(probs, dtype=float).reshape(sizes)
-    n_axes = len(sizes)
-    covered = [a for b in blocks for a in b]
-    if sorted(covered) != list(range(n_axes)):
+    order = [a for b in blocks for a in sorted(b)]
+    if sorted(order) != list(range(len(sizes))):
         raise ValidationError("blocks must partition the joint axes")
-    operands = []
-    for block in blocks:
-        other = tuple(a for a in range(n_axes) if a not in block)
-        marg = arr.sum(axis=other) if other else arr
-        # marginal axes appear in ascending original order
-        operands += (marg, sorted(block))
-    out = np.einsum(*operands, list(range(n_axes)))
-    flat = out.reshape(-1)
+    labels = list(range(len(sizes)))
+    marginals = [np.einsum(arr, labels, sorted(b)) for b in blocks]
+    out = functools.reduce(np.multiply.outer, marginals)
+    flat = out.transpose(np.argsort(order)).reshape(-1)
     return flat / flat.sum()
 
 

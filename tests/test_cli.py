@@ -466,6 +466,24 @@ class TestFgCommands:
             "error: validation failed: cannot run BP on a factor graph with no variables\n"
         )
 
+    def test_wr_rejects_a_lift_past_52_axes(self, capsys, files):
+        # 27 pairwise factors along a chain of one-state variables: 54 axes
+        path = files["root"] / "wide_lift.json"
+        path.write_text(json.dumps({
+            "variables": [{"id": f"v{i}", "cardinality": 1} for i in range(28)],
+            "factors": [
+                {"id": f"e{i}", "vars": [f"v{i}", f"v{i + 1}"], "table": [1.0]}
+                for i in range(27)
+            ],
+        }))
+        assert main(["fg", "wr", "--graph", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: validation failed: replica lift has 54 axes; the lift's "
+            "projections number at most 52 einsum axes\n"
+        )
+
     def test_wr_tree_matches_oracle(self, capsys, files):
         from klbp import factorgraph, generators
 

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from klbp.factorgraph import Factor, FactorGraph, Variable, bp_beliefs, bp_run, 
 from klbp.lift import (
     WrState,
     consensus_project,
+    diagonal_restrict,
     extract_joint,
     replicate_lift,
     t_proj,
@@ -16,7 +20,15 @@ from klbp.lift import (
     wr_step,
 )
 from klbp.oracle import enumerate_fg_marginals
-from klbp.simplex import DistVec, Mahalanobis, NegativeEntropy
+from klbp.simplex import (
+    DistVec,
+    JointShape,
+    Mahalanobis,
+    NegativeEntropy,
+    m_project_blocks,
+    m_project_product,
+    softmax,
+)
 
 ENTROPY = NegativeEntropy()
 
@@ -124,6 +136,32 @@ def test_lift_budget():
         replicate_lift(FactorGraph(variables, factors))
 
 
+def one_state_chain(n_factors):
+    # n_factors pairwise factors along a chain of one-state variables:
+    # 2 * n_factors replica axes, one lifted entry
+    variables = [Variable(f"v{i}", 1) for i in range(n_factors + 1)]
+    factors = [
+        Factor(f"e{i}", (f"v{i}", f"v{i+1}"), np.ones((1, 1))) for i in range(n_factors)
+    ]
+    return FactorGraph(variables, factors)
+
+
+def test_lift_names_its_axis_count_past_52_axes():
+    for n_factors, axes in ((27, 54), (33, 66)):
+        with pytest.raises(ValidationError, match=f"^replica lift has {axes} axes; "):
+            replicate_lift(one_state_chain(n_factors))
+
+
+def test_lift_with_52_axes_converges():
+    space = replicate_lift(one_state_chain(26))
+    assert len(space.sizes) == 52
+    run = wr_run(space, ENTROPY)
+    assert run.converged
+    beliefs = wr_beliefs(space, run.state)
+    assert sorted(beliefs) == sorted(f"v{i}" for i in range(27))
+    assert all(b.tolist() == [1.0] for b in beliefs.values())
+
+
 # ----------------------------------------------------- consensus + t_proj
 
 
@@ -187,6 +225,99 @@ def test_first_step_right_projection_is_reference():
     state = wr_step(space, ENTROPY, wr_init(space, ENTROPY))
     np.testing.assert_allclose(state.k, space.q_init.probs, atol=1e-13)
     np.testing.assert_allclose(state.sigma, 0.0, atol=1e-12)
+
+
+def full_grid_replicated_step(space, state):
+    """The replicated entropy step with every update on the lifted grid,
+    restricted to the diagonal only at the end: (k, sigma, r, q, tau)."""
+    log_q = np.log(state.q)
+    k = m_project_blocks(softmax(log_q + state.sigma), space.sizes, space.factor_blocks)
+    log_k = np.log(k)
+    sigma_new = log_q + state.sigma - log_k
+    diag = diagonal_restrict(space, softmax(log_k + state.tau))
+    r = diag / diag.sum()
+    q_new = m_project_product(DistVec(r), JointShape(space.ident_sizes)).probs
+    tau_new = diagonal_restrict(space, log_k + state.tau) - np.log(q_new)
+    return k, diagonal_restrict(space, sigma_new), r, q_new, tau_new
+
+
+def replicated_states(space):
+    yield wr_init(space, ENTROPY)
+    rng = np.random.default_rng(len(space.sizes))
+    n = space.q_init.probs.size
+    sigma, tau = rng.normal(0.0, 0.3, n), rng.normal(0.0, 0.3, n)
+    yield WrState("replicated", 0, space.q_init.probs, sigma, tau)
+
+
+@pytest.mark.parametrize("kind", ["tree", "cycle"])
+def test_replicated_step_matches_the_full_grid_step(kind):
+    # k and sigma are the same floats; r, q and tau differ only by where
+    # the consensus softmax takes its largest entry
+    for seed in range(50):
+        space = replicate_lift(generators.gen_fg(seed, kind=kind))
+        for state in replicated_states(space):
+            k, sigma, r, q, tau = full_grid_replicated_step(space, state)
+            out = wr_step(space, ENTROPY, state)
+            assert out.phase == "identified"
+            assert np.array_equal(out.k, k) and np.array_equal(out.sigma, sigma)
+            for got, want in ((out.r, r), (out.q, q), (out.tau, tau)):
+                assert float(np.max(np.abs(got - want))) <= 1e-14
+
+
+def test_replicated_step_rejects_an_empty_consensus_diagonal():
+    # two unary factors on x: k = [1, 0] x [0, 1] puts no mass on x1 = x2
+    fg = FactorGraph(
+        [Variable("x", 2)],
+        [Factor("f1", ("x",), np.ones(2)), Factor("f2", ("x",), np.ones(2))],
+    )
+    space = replicate_lift(fg)
+    state = WrState("replicated", 0, np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4), np.zeros(4))
+    with np.errstate(divide="ignore"), pytest.raises(
+        ValidationError, match="consensus diagonal carries zero mass"
+    ):
+        wr_step(space, ENTROPY, state)
+
+
+def test_m_project_blocks_is_the_product_of_block_marginals():
+    rng = np.random.default_rng(90)
+    cases = [
+        ((2, 3, 2, 2), ((2, 0), (3,), (1,))),
+        ((2, 3, 2), ((0, 1), (2,))),
+        ((3, 2, 2, 3), ((0,), (1, 2), (3,))),
+        ((2, 3), ((0, 1),)),
+    ]
+    for sizes, blocks in cases:
+        probs = rng.uniform(0.1, 1.0, int(np.prod(sizes)))
+        probs /= probs.sum()
+        before = probs.copy()
+        arr = probs.reshape(sizes)
+        margs = [arr.sum(axis=tuple(a for a in range(len(sizes)) if a not in b)) for b in blocks]
+        want = np.empty(sizes)
+        for x in itertools.product(*map(range, sizes)):
+            want[x] = np.prod([m[tuple(x[a] for a in sorted(b))] for m, b in zip(margs, blocks)])
+        got = m_project_blocks(probs, sizes, blocks)
+        np.testing.assert_allclose(got, want.reshape(-1) / want.sum(), rtol=1e-14, atol=0.0)
+        assert np.array_equal(probs, before)
+
+
+def lifted_arrays_allocated(space, fn):
+    """Peak traced allocation of fn() above its start, in lifted-size arrays."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / space.q_init.probs.nbytes
+
+
+def test_replicated_step_and_run_allocation_budget():
+    space = replicate_lift(generators.gen_fg(7))
+    assert space.q_init.probs.size == 3**11
+    state = wr_init(space, ENTROPY)
+    assert lifted_arrays_allocated(space, lambda: wr_step(space, ENTROPY, state)) <= 5
+    assert lifted_arrays_allocated(space, lambda: wr_run(space, ENTROPY)) <= 8
 
 
 def test_one_iteration_matches_tree_bp_and_enumeration():

@@ -216,6 +216,36 @@ class TestSharpLikelihood:
                 800.0 + math.log(0.2 * (1.0 + math.exp(-400.0))), rel=1e-15
             )
 
+    @staticmethod
+    def scaled_model(grid, scale, likelihood):
+        # z = scale * x * a, one variable with a uniform prior
+        graph = CompGraph(
+            [
+                CompNode("x", "input"),
+                CompNode("a", "input"),
+                CompNode("c", "constant", value=scale),
+                CompNode("cx", "mul", ("c", "x")),
+                CompNode("z", "mul", ("cx", "a")),
+            ],
+            "z",
+        )
+        n = len(grid)
+        return DiscretePriorModel(
+            ("x0",), (np.array(grid),), (DistVec(np.full(n, 1.0 / n)),), (graph,), ("a",), likelihood
+        )
+
+    def test_zero_weight_point_with_overflowing_score_contributes_zero(self):
+        # at x = 1 the loss and the score both overflow, so that point has
+        # zero weight; all mass sits on x = 0, where the score is 0
+        model = self.scaled_model([0.0, 1.0], 10.0, NegLossTemp("squared_error", 0.0, 1e-308))
+        assert posterior_grad_enum(model, np.array([1.0])).tolist() == [0.0]
+
+    def test_positive_weight_point_with_overflowing_score_fails_closed(self):
+        # z = 1.85: the loss 1.71e308 / 1 is finite, the score -1.85e308 is not
+        model = self.scaled_model([1.0], 1.85, NegLossTemp("squared_error", 0.0, 1e-308))
+        grad = posterior_grad_enum(model, np.array([1.0]))
+        assert not np.all(np.isfinite(grad))
+
 
 class TestGradMarginalRoute:
     def test_single_variable_ratio(self):
