@@ -384,7 +384,7 @@ def cmd_fg_project(args):
         raise SchemaError(f"--shape is required for the {args.family} family")
     obj = _load(args, args.input)
     if args.family == "copies":
-        if "dists" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("dists"), list):
             raise SchemaError("consensus input needs a 'dists' list")
         q = [simplex.DistVec.from_json(d) for d in obj["dists"]]
         closed = simplex.consensus_geomean(q)

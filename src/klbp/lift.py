@@ -15,7 +15,10 @@ matching the relative-gradient convention for faces.  The first entropy
 step forms only its right projection k on the lifted grid: diagonal
 restriction commutes with the elementwise updates, so log q, the duals and
 k are restricted at once and everything after k runs on the identified
-grid.
+grid.  Both grids are plain arrays inside the loop: the steps call the
+``simplex`` kernels (``m_project_blocks``, ``block_marginals`` and, through
+``diagonal_restrict``, ``replica_diagonal``) directly, and ``DistVec``
+checks only the lift's public inputs and outputs.
 
 The alternating scheme with dual corrections (a Dykstra-style hybrid of a
 right projection and a left projection, with correction vectors sigma and
@@ -28,6 +31,7 @@ which raise rather than return a fit that misses its gradient test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,11 +43,11 @@ from .factorgraph import _EINSUM_AXES, FactorGraph, require_positive_tables
 from .simplex import (
     DistVec,
     Generator,
-    JointShape,
     Mahalanobis,
     NegativeEntropy,
+    block_marginals,
     m_project_blocks,
-    m_project_product,
+    replica_diagonal,
     softmax,
 )
 
@@ -77,12 +81,13 @@ class ReplicatedSpace:
     q_init: DistVec
 
     @property
-    def ident_shape(self) -> JointShape:
-        return JointShape(self.ident_sizes)
-
-    @property
     def ident_size(self) -> int:
         return math.prod(self.ident_sizes)
+
+    @property
+    def ident_axes(self) -> tuple[tuple[int, ...], ...]:
+        """The identified grid's axes as singleton blocks."""
+        return tuple((a,) for a in range(len(self.ident_sizes)))
 
 
 def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
@@ -107,9 +112,9 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
     ident_vars = tuple(fg.variables[i].id for i in ident)
     ident_sizes = tuple(fg.variables[i].cardinality for i in ident)
 
-    table = np.ones(())
-    for fac in fg.factors:
-        table = np.multiply.outer(table, fac.table / fac.table.sum())
+    table = functools.reduce(
+        np.multiply.outer, (fac.table / fac.table.sum() for fac in fg.factors)
+    )
     return ReplicatedSpace(
         fg,
         tuple(lay.edges),
@@ -128,9 +133,7 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
 def diagonal_restrict(space: ReplicatedSpace, values: Array) -> Array:
     """Gather a lifted array at the consensus diagonal (any values, raw)."""
     arr = np.asarray(values, dtype=float).reshape(space.sizes)
-    label = {axis: k for k, group in enumerate(space.var_groups) for axis in group}
-    diag = np.einsum(arr, [label[a] for a in range(arr.ndim)], list(range(len(space.var_groups))))
-    return diag.reshape(-1)
+    return replica_diagonal(arr, space.var_groups).reshape(-1)
 
 
 def consensus_project(space: ReplicatedSpace, q: DistVec) -> DistVec:
@@ -162,15 +165,13 @@ def t_proj(space: ReplicatedSpace, q: DistVec) -> DistVec:
             f"t_proj: table length {len(q)} matches neither the lift nor "
             f"the identified grid"
         )
-    return m_project_product(q, space.ident_shape)
+    return DistVec(m_project_blocks(q.probs, space.ident_sizes, space.ident_axes), q.outcomes)
 
 
 def extract_joint(space: ReplicatedSpace, beliefs: dict) -> DistVec:
     """Product-form joint on the identified grid from per-variable beliefs."""
-    full = np.ones(())
-    for vid in space.ident_vars:
-        b = np.asarray(beliefs[vid], dtype=float)
-        full = np.multiply.outer(full, b / b.sum())
+    parts = (np.asarray(beliefs[vid], dtype=float) for vid in space.ident_vars)
+    full = functools.reduce(np.multiply.outer, (b / b.sum() for b in parts))
     return DistVec(full.reshape(-1))
 
 
@@ -184,7 +185,8 @@ class WrState:
     ``phase`` is "replicated" before the first consensus step and
     "identified" afterwards; q/sigma/tau live on the matching grid.  k and
     r are the intermediate right/left projections of the last step; warm
-    caches logits for the Mahalanobis inner solver.
+    caches logits for the Mahalanobis inner solver.  An identified q must
+    be strictly positive: the scheme's iterates never leave the interior.
     """
 
     phase: str
@@ -201,6 +203,8 @@ class WrState:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite entries in iterate field {name}")
+        if self.phase == "identified" and not np.all(self.q > 0.0):
+            raise ValidationError("identified iterate q has an entry <= 0")
 
 
 def wr_init(space: ReplicatedSpace, gen: Generator) -> WrState:
@@ -224,11 +228,6 @@ def wr_init(space: ReplicatedSpace, gen: Generator) -> WrState:
         zeros = np.zeros(q.size)
         return WrState("identified", 0, q, zeros, zeros.copy())
     raise ValidationError(f"unknown generator {gen!r}")
-
-
-def _product_marginal_factors(probs: Array, sizes: tuple[int, ...]) -> Array:
-    out = m_project_product(DistVec(probs), JointShape(sizes))
-    return out.probs
 
 
 def _fit_product(
@@ -258,12 +257,8 @@ def _fit_product(
         u = warm.copy()
     else:
         clipped = np.maximum(target, 1e-12).reshape(sizes)
-        pieces = []
-        for axis in range(n_axes):
-            other = tuple(a for a in range(n_axes) if a != axis)
-            marg = clipped.sum(axis=other) if other else clipped
-            pieces.append(np.log(marg / marg.sum()))
-        u = np.concatenate(pieces)
+        singletons = [(a,) for a in range(n_axes)]
+        u = np.concatenate([np.log(m / m.sum()) for m in block_marginals(clipped, singletons)])
     # ind[x, (a, j)] = 1[x_a = j], with cells x in row-major order
     cells = np.indices(sizes).reshape(n_axes, -1)
     ind = np.hstack([np.eye(s)[c] for s, c in zip(sizes, cells)])
@@ -271,10 +266,7 @@ def _fit_product(
 
     def evaluate(u_vec: Array):
         parts = [softmax(b) for b in np.split(u_vec, cuts)]
-        full = parts[0]
-        for p in parts[1:]:
-            full = np.multiply.outer(full, p)
-        r = full.reshape(-1)
+        r = functools.reduce(np.multiply.outer, parts).reshape(-1)
         diff = r - target
         w = mat @ diff
         e = ind - np.concatenate(parts)
@@ -344,7 +336,7 @@ def _wr_step_entropy(space: ReplicatedSpace, state: WrState) -> WrState:
             diagonal_restrict(space, a) for a in (state.q, state.sigma, state.tau, k)
         )
     else:
-        k = k_diag = _product_marginal_factors(corrected, space.ident_sizes)
+        k = k_diag = m_project_blocks(corrected, space.ident_sizes, space.ident_axes)
         q, sigma, tau = state.q, state.sigma, state.tau
     log_k = np.log(k_diag)
     pre_consensus = log_k + tau
@@ -353,7 +345,7 @@ def _wr_step_entropy(space: ReplicatedSpace, state: WrState) -> WrState:
         raise ValidationError("consensus diagonal carries zero mass")
     sigma_new = np.log(q) + sigma - log_k
     r = softmax(pre_consensus)
-    q_new = _product_marginal_factors(r, space.ident_sizes)
+    q_new = m_project_blocks(r, space.ident_sizes, space.ident_axes)
     tau_new = log_k + tau - np.log(q_new)
     return WrState("identified", state.n + 1, q_new, sigma_new, tau_new, k, r)
 
@@ -398,13 +390,8 @@ def wr_beliefs(space: ReplicatedSpace, state: WrState) -> dict:
     """Per-variable marginals of the current product iterate."""
     if state.phase != "identified":
         raise ValidationError("beliefs are defined after the first outer iteration")
-    arr = state.q.reshape(space.ident_sizes)
-    out = {}
-    for i, vid in enumerate(space.ident_vars):
-        other = tuple(a for a in range(len(space.ident_sizes)) if a != i)
-        marg = arr.sum(axis=other) if other else arr
-        out[vid] = marg / marg.sum()
-    return out
+    margs = block_marginals(state.q.reshape(space.ident_sizes), space.ident_axes)
+    return {vid: m / m.sum() for vid, m in zip(space.ident_vars, margs)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -372,11 +372,15 @@ def enumerate_fg_marginals(fg) -> dict:
     total = joint.sum()
     if total <= 0.0:
         raise ValidationError("factor product has zero total mass")
+    return _axis_marginals(joint, [v.id for v in fg.variables])
+
+
+def _axis_marginals(joint: Array, names) -> dict:
+    """Normalized marginal of each axis of ``joint``, keyed by its name."""
     out = {}
-    for v in fg.variables:
-        axis_set = tuple(i for i in range(len(sizes)) if i != var_pos[v.id])
-        marg = joint.sum(axis=axis_set) if axis_set else joint
-        out[v.id] = marg / marg.sum()
+    for i, name in enumerate(names):
+        marg = joint.sum(axis=tuple(j for j in range(joint.ndim) if j != i))
+        out[name] = marg / marg.sum()
     return out
 
 
@@ -473,12 +477,7 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
     total = joint.sum()
     if total <= 0.0:
         raise ValidationError("evidence has zero probability under the circuit")
-    out = {}
-    for i, v in enumerate(variables):
-        axis_set = tuple(j for j in range(len(sizes)) if j != i)
-        marg = joint.sum(axis=axis_set) if axis_set else joint
-        out[v] = marg / marg.sum()
-    return out
+    return _axis_marginals(joint, variables)
 
 
 # ----------------------------------------------------- finite differences

@@ -20,6 +20,18 @@ agree) return vectors indexed by the face's own, smaller outcome set.
 Left (exclusive) projections minimize D(r, q) over r in the constraint set;
 right (inclusive) projections minimize D(q, r).  Under negative entropy the
 right projection onto a product family is the familiar product of marginals.
+
+Each KL projection has one array-in, array-out kernel here; the public
+functions that wrap a kernel add the ``DistVec`` and ``JointShape`` checks.
+
+* ``block_marginals`` and ``m_project_blocks`` -- block marginals and their
+  product (singleton blocks give the fully factorized family); used by
+  ``m_project_product`` and by the lift's steps, ``t_proj``, ``wr_beliefs``
+  and quadratic product fit;
+* ``replica_diagonal`` -- the entries where each group's replicas agree;
+  used by ``i_project_diagonal`` and ``lift.diagonal_restrict``;
+* ``geometric_mean`` -- the normalized geometric mean on the common
+  support; used by ``consensus_geomean`` and ``region_two_step``.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, whole_number
 
 Array = np.ndarray
 
@@ -111,6 +123,8 @@ class DistVec:
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"distribution 'probs' must be numbers: {exc}") from exc
         outs = obj.get("outcomes")
+        if outs is not None and not isinstance(outs, list):
+            raise SchemaError("distribution 'outcomes' must be a list of labels")
         return DistVec(probs, None if outs is None else tuple(outs))
 
 
@@ -154,22 +168,6 @@ class Mahalanobis:
 Generator = NegativeEntropy | Mahalanobis
 
 
-def divergence(gen: Generator, r: DistVec, q: DistVec) -> float:
-    """Bregman divergence D(r, q) of the given generator."""
-    _check_same_labels(r, q, what="divergence")
-    if isinstance(gen, NegativeEntropy):
-        return float(np.sum(r.probs * (np.log(r.probs) - np.log(q.probs))))
-    if isinstance(gen, Mahalanobis):
-        if gen.matrix.shape[0] != len(r):
-            raise ValidationError(
-                f"Mahalanobis matrix is {gen.matrix.shape[0]}-dimensional, "
-                f"vectors have length {len(r)}"
-            )
-        d = r.probs - q.probs
-        return float(0.5 * d @ gen.matrix @ d)
-    raise ValidationError(f"unknown generator {gen!r}")
-
-
 def softmax(values: Array) -> Array:
     v = np.asarray(values, dtype=float)
     e = np.exp(v - v.max())
@@ -193,11 +191,11 @@ class JointShape:
     groups: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(whole_number(s, "axis size") for s in self.sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValidationError(f"axis sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
-        groups = tuple(tuple(int(a) for a in g) for g in self.groups)
+        groups = tuple(tuple(whole_number(a, "replica group axis") for a in g) for g in self.groups)
         seen: set[int] = set()
         for g in groups:
             if not g:
@@ -229,6 +227,55 @@ def joint_outcomes(sizes: tuple[int, ...]) -> tuple:
     return tuple(itertools.product(*(range(s) for s in sizes)))
 
 
+# ------------------------------------------------------------- kernels
+
+
+def block_marginals(arr: Array, blocks) -> list[Array]:
+    """The marginal of ``arr`` on each axis block, with each marginal's axes
+    in ascending order."""
+    labels = list(range(arr.ndim))
+    return [np.einsum(arr, labels, sorted(b)) for b in blocks]
+
+
+def m_project_blocks(
+    probs: Array, sizes: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
+) -> Array:
+    """Right KL projection onto products across disjoint axis blocks.
+
+    Each block keeps its internal joint structure; distinct blocks become
+    independent.  ``blocks`` must partition the axes.  The outer product of
+    the block marginals, taken in block order, is transposed back (a view
+    when the blocks are ascending and contiguous, as in the replica lift).
+    Returns a flat array in the original axis order.
+    """
+    arr = np.asarray(probs, dtype=float).reshape(sizes)
+    order = [a for b in blocks for a in sorted(b)]
+    if sorted(order) != list(range(len(sizes))):
+        raise ValidationError("blocks must partition the joint axes")
+    out = functools.reduce(np.multiply.outer, block_marginals(arr, blocks))
+    flat = out.transpose(np.argsort(order)).reshape(-1)
+    return flat / flat.sum()
+
+
+def replica_diagonal(arr: Array, groups) -> Array:
+    """The entries of ``arr`` where each group's replicas agree, one axis per
+    group in group order; ``groups`` must cover every axis."""
+    label = {axis: g for g, group in enumerate(groups) for axis in group}
+    return np.einsum(arr, [label[a] for a in range(arr.ndim)], list(range(len(groups))))
+
+
+def geometric_mean(tables) -> Array | None:
+    """Normalized elementwise geometric mean of same-shape tables on their
+    common support (zero elsewhere), or None when they share no support."""
+    stack = np.stack([np.asarray(t, dtype=float) for t in tables])
+    common = np.all(stack > 0.0, axis=0)
+    if not common.any():
+        return None
+    mean_log = np.log(np.where(common, stack, 1.0)).mean(axis=0)
+    weights = np.where(common, np.exp(mean_log - mean_log[common].max()), 0.0)
+    return weights / weights.sum()
+
+
 # ------------------------------------------------------------- projections
 
 
@@ -249,14 +296,10 @@ def i_project_diagonal(q: DistVec, shape: JointShape) -> DistVec:
     k = len(shape.sizes)
     if k < 2:
         raise ValidationError("i_project_diagonal needs at least two replicas")
-    d = shape.sizes[0]
-    strides = np.array([math.prod(shape.sizes[i + 1:]) for i in range(k)], dtype=int)
-    diag_idx = np.arange(d) * int(strides.sum())
-    diag = q.probs[diag_idx]
-    total = float(diag.sum())
-    if total <= MIN_PROB:
+    diag = replica_diagonal(q.probs.reshape(shape.sizes), shape.groups)
+    if float(diag.sum()) <= MIN_PROB:
         raise ValidationError("diagonal of the joint carries (near-)zero mass")
-    labels = tuple((t,) * k for t in range(d))
+    labels = tuple((t,) * k for t in range(shape.sizes[0]))
     return DistVec.from_weights(diag, labels)
 
 
@@ -268,37 +311,8 @@ def m_project_product(q: DistVec, shape: JointShape) -> DistVec:
     q's outcome set.
     """
     shape.check_length(q, what="m_project_product")
-    arr = q.probs.reshape(shape.sizes)
-    marginals = []
-    for axis in range(len(shape.sizes)):
-        other = tuple(a for a in range(len(shape.sizes)) if a != axis)
-        marginals.append(arr.sum(axis=other) if other else arr.copy())
-    outer = marginals[0]
-    for m in marginals[1:]:
-        outer = np.multiply.outer(outer, m)
-    return DistVec.from_weights(outer.reshape(-1), q.outcomes)
-
-
-def m_project_blocks(
-    probs: Array, sizes: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
-) -> Array:
-    """Right KL projection onto products across disjoint axis blocks.
-
-    Each block keeps its internal joint structure; distinct blocks become
-    independent.  ``blocks`` must partition the axes.  Each block marginal
-    is one sublist einsum, and their outer product, taken in block order, is
-    transposed back (a view when the blocks are ascending and contiguous, as
-    in the replica lift).  Returns a flat array in the original axis order.
-    """
-    arr = np.asarray(probs, dtype=float).reshape(sizes)
-    order = [a for b in blocks for a in sorted(b)]
-    if sorted(order) != list(range(len(sizes))):
-        raise ValidationError("blocks must partition the joint axes")
-    labels = list(range(len(sizes)))
-    marginals = [np.einsum(arr, labels, sorted(b)) for b in blocks]
-    out = functools.reduce(np.multiply.outer, marginals)
-    flat = out.transpose(np.argsort(order)).reshape(-1)
-    return flat / flat.sum()
+    singletons = tuple((a,) for a in range(len(shape.sizes)))
+    return DistVec(m_project_blocks(q.probs, shape.sizes, singletons), q.outcomes)
 
 
 def consensus_geomean(tables: list[DistVec] | tuple[DistVec, ...]) -> DistVec:
@@ -312,7 +326,4 @@ def consensus_geomean(tables: list[DistVec] | tuple[DistVec, ...]) -> DistVec:
     first = tables[0]
     for other in tables[1:]:
         _check_same_labels(first, other, what="consensus_geomean")
-    logs = np.stack([np.log(t.probs) for t in tables])
-    mean_log = logs.mean(axis=0)
-    weights = np.exp(mean_log - mean_log.max())
-    return DistVec.from_weights(weights, first.outcomes)
+    return DistVec(geometric_mean([t.probs for t in tables]), first.outcomes)

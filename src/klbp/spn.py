@@ -647,6 +647,7 @@ def marginal_batch(circuit: SpnCircuit, lam) -> Array:
     marginals in the same layout.  Every column runs through one upward and
     one downward pass (in chunks of columns when the batch is large).
     """
+    require_valid(circuit)
     sched = circuit._schedule
     X = np.asarray(lam, dtype=float)
     if X.ndim != 2 or X.shape[0] != sched.n_slots:

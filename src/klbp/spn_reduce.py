@@ -165,6 +165,16 @@ def _scope_vars(circuit: SpnCircuit, nid: str) -> tuple:
     return tuple(sorted(circuit.scope(nid)))
 
 
+def _scope_product(scope: tuple, parts) -> np.ndarray:
+    """Outer product of (table, sorted sub-scope) parts over disjoint
+    sub-scopes of the sorted ``scope``, laid out on ``scope``'s axes."""
+    axis = {v: i for i, v in enumerate(scope)}
+    operands = []
+    for table, vars_ in parts:
+        operands += (table, [axis[v] for v in vars_])
+    return np.einsum(*operands, list(range(len(scope))))
+
+
 def scope_tables(circuit: SpnCircuit, e: Evidence) -> dict:
     """Unnormalized per-node tables over sorted scope outcomes.
 
@@ -187,11 +197,8 @@ def scope_tables(circuit: SpnCircuit, e: Evidence) -> dict:
             t[n.state] = e.lam[n.var][n.state]
             tables[nid] = t
         elif n.kind == "product":
-            axis = {v: i for i, v in enumerate(vars_)}
-            operands = []
-            for c in n.children:
-                operands += (tables[c], [axis[v] for v in _scope_vars(circuit, c)])
-            tables[nid] = np.einsum(*operands, list(range(len(vars_))))
+            parts = [(tables[c], _scope_vars(circuit, c)) for c in n.children]
+            tables[nid] = _scope_product(vars_, parts)
         else:
             acc = np.zeros([circuit.cardinality(v) for v in vars_])
             for c, w in zip(n.children, n.weights):
@@ -227,6 +234,8 @@ def region_two_step(circuit: SpnCircuit, e: Evidence) -> RegionFamily:
     the outer product of its child-region marginals.  Singleton-scope
     tables are reported as per-variable marginals.
     """
+    from .simplex import geometric_mean
+
     _require_tree(circuit, "region projection")
     require_valid(circuit)
     check_evidence(circuit, e)
@@ -252,40 +261,19 @@ def region_two_step(circuit: SpnCircuit, e: Evidence) -> RegionFamily:
     diagnostics = {}
     for scope, ids in sorted(groups.items()):
         exact = _marginalize(joint, root_vars, scope)
-        members = [init_tables[nid] for nid in ids]
-        common = np.ones_like(members[0], dtype=bool)
-        for m in members:
-            common &= m > 0.0
-        if common.any():
-            # literal geometric-mean consensus on the common support
-            logs = np.zeros_like(members[0])
-            for m in members:
-                logs = logs + np.where(common, np.log(np.where(common, m, 1.0)), 0.0)
-            lit = np.where(common, np.exp(logs / len(members)), 0.0)
-            lit = lit / lit.sum()
-            diagnostics[scope] = {
-                "degenerate": False,
-                "literal_gap": float(np.abs(lit - exact).max()),
-                "n_members": len(ids),
-            }
-        else:
-            diagnostics[scope] = {
-                "degenerate": True,
-                "literal_gap": None,
-                "n_members": len(ids),
-            }
+        lit = geometric_mean([init_tables[nid] for nid in ids])
+        diagnostics[scope] = {
+            "degenerate": lit is None,
+            "literal_gap": None if lit is None else float(np.abs(lit - exact).max()),
+            "n_members": len(ids),
+        }
         tables[scope] = exact
 
     # second step: factorize product-node regions across child scopes
     for nid in sorted(n.id for n in circuit.nodes if n.kind == "product"):
-        n = circuit.node(nid)
         scope = _scope_vars(circuit, nid)
-        axis = {v: i for i, v in enumerate(scope)}
-        operands = []
-        for c in n.children:
-            cvars = _scope_vars(circuit, c)
-            operands += (tables[cvars], [axis[v] for v in cvars])
-        tables[scope] = np.einsum(*operands, list(range(len(scope))))
+        children = [_scope_vars(circuit, c) for c in circuit.node(nid).children]
+        tables[scope] = _scope_product(scope, [(tables[c], c) for c in children])
 
     var_marginals = {}
     for v in circuit.variable_order():

@@ -558,6 +558,27 @@ class TestFgCommands:
             assert captured.out == ""
             assert captured.err == f"error: bad input: --shape is required for the {family} family\n"
 
+    @pytest.mark.parametrize(
+        "obj, family, message",
+        [
+            ({"dists": 3}, "copies", "consensus input needs a 'dists' list"),
+            ([0.5, 0.5], "copies", "consensus input needs a 'dists' list"),
+            ({"dists": [{"probs": [0.5, 0.5], "outcomes": 5}]}, "copies", "'outcomes' must be a list"),
+            ({"probs": [0.1, 0.2, 0.3, 0.4], "outcomes": 5}, "product", "'outcomes' must be a list"),
+            ({"probs": [0.2, 0.3, 0.5], "outcomes": "xyz"}, "product", "'outcomes' must be a list"),
+        ],
+    )
+    def test_project_malformed_json_exits_2(self, capsys, files, obj, family, message):
+        path = files["root"] / "malformed_project.json"
+        path.write_text(json.dumps(obj))
+        size = len(obj.get("probs", [])) if isinstance(obj, dict) else 0
+        shape = ["--shape", str(size)] if family == "product" else []
+        assert main(["fg", "project", "--input", str(path), "--family", family, *shape]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad input: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestDagCommands:
     def test_adjoints_logistic_point(self, capsys, files):

@@ -300,6 +300,88 @@ def test_m_project_blocks_is_the_product_of_block_marginals():
         assert np.array_equal(probs, before)
 
 
+def old_axis_sums(arr):
+    """Per-axis marginals by ``ndarray.sum``, as the lift took them before it
+    called ``block_marginals``."""
+    return [arr.sum(axis=tuple(b for b in range(arr.ndim) if b != a)) for a in range(arr.ndim)]
+
+
+def old_ident_product(probs, sizes):
+    """The identified-grid product projection as the lift ran it before it
+    called ``m_project_blocks``: through ``DistVec``, per-axis sums and a
+    chain of outer products."""
+    margs = old_axis_sums(DistVec(probs).probs.reshape(sizes))
+    outer = margs[0]
+    for m in margs[1:]:
+        outer = np.multiply.outer(outer, m)
+    return DistVec.from_weights(outer.reshape(-1)).probs
+
+
+def run_on_the_old_paths(space, gen, monkeypatch):
+    """wr_run with the identified-grid kernels swapped for the old code."""
+    blocks, marginals = lift.m_project_blocks, lift.block_marginals
+
+    def singletons(sizes, axes):
+        return list(axes) == [(a,) for a in range(len(sizes))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lift, "m_project_blocks", lambda probs, sizes, axes: (
+            old_ident_product(probs, sizes) if singletons(sizes, axes)
+            else blocks(probs, sizes, axes)
+        ))
+        patch.setattr(lift, "block_marginals", lambda arr, axes: (
+            old_axis_sums(arr) if singletons(arr.shape, axes) else marginals(arr, axes)
+        ))
+        return wr_run(space, gen)
+
+
+@pytest.mark.parametrize(
+    "kind, generator, seeds",
+    [
+        ("tree", "entropy", range(50)),
+        ("cycle", "entropy", range(50)),
+        ("tree", "quadratic", range(20)),
+        ("cycle", "quadratic", range(20)),
+    ],
+)
+def test_scheme_matches_the_old_identified_grid_path(kind, generator, seeds, monkeypatch):
+    for seed in seeds:
+        space = replicate_lift(generators.gen_fg(seed, kind=kind))
+        gen = ENTROPY if generator == "entropy" else Mahalanobis(np.eye(space.ident_size))
+        new = wr_run(space, gen)
+        old = run_on_the_old_paths(space, gen, monkeypatch)
+        old_beliefs = dict(zip(space.ident_vars, (
+            m / m.sum() for m in old_axis_sums(old.state.q.reshape(space.ident_sizes))
+        )))
+        assert (new.state.n, new.converged, len(new.steps)) == (
+            old.state.n, old.converged, len(old.steps)
+        )
+        gaps = [abs(new.steps[-1] - old.steps[-1])] if new.steps else []
+        for name in ("q", "k", "r", "sigma", "tau"):
+            gaps.append(np.max(np.abs(getattr(new.state, name) - getattr(old.state, name))))
+        new_beliefs = wr_beliefs(space, new.state)
+        gaps += [np.max(np.abs(new_beliefs[v] - old_beliefs[v])) for v in space.ident_vars]
+        assert max(gaps) <= 1e-14
+
+
+def test_an_identified_step_builds_no_distvec(monkeypatch):
+    built = []
+    check = DistVec.__post_init__
+
+    def counted(self):
+        built.append(len(self.probs))
+        check(self)
+
+    space = replicate_lift(generators.gen_fg(7))
+    state = wr_step(space, ENTROPY, wr_init(space, ENTROPY))
+    monkeypatch.setattr(DistVec, "__post_init__", counted)
+    out = wr_step(space, ENTROPY, state)
+    assert out.phase == "identified" and out.n == 2
+    assert built == []
+    t_proj(space, DistVec(state.q))  # the counter sees the public boundary
+    assert len(built) >= 2
+
+
 def lifted_arrays_allocated(space, fn):
     """Peak traced allocation of fn() above its start, in lifted-size arrays."""
     tracemalloc.start()
@@ -400,6 +482,12 @@ def test_beliefs_need_an_iteration():
 def test_nonfinite_state_rejected():
     with pytest.raises(ValidationError):
         WrState("identified", 0, np.array([0.5, 0.5]), np.array([np.nan, 0.0]), np.zeros(2))
+
+
+def test_identified_state_rejects_a_q_entry_at_or_below_zero():
+    for q in ([0.0, 1.0], [-0.25, 1.25]):
+        with pytest.raises(ValidationError, match="identified iterate q has an entry <= 0"):
+            WrState("identified", 1, np.array(q), np.zeros(2), np.zeros(2))
 
 
 # ------------------------------------------------------- loopy diagnostics

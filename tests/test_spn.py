@@ -711,3 +711,21 @@ class TestCompiledPasses:
             marginal_batch(c, -np.ones((4, 2)))
         with pytest.raises(ValidationError, match="empty support"):
             marginal_batch(c, np.array([[1.0], [0.0], [0.0], [1.0]]))
+
+    def test_batch_rejects_an_invalid_circuit_as_the_upward_pass_does(self):
+        # a product over X=0 and X=1 is not decomposable; the batch once
+        # returned "marginals" summing to 2 for it
+        c = SpnCircuit(
+            [
+                SpnNode("a", "leaf", var="X", state=0),
+                SpnNode("b", "leaf", var="X", state=1),
+                SpnNode("p", "product", ("a", "b")),
+            ],
+            "p",
+        )
+        with pytest.raises(ValidationError) as upward:
+            upward_pass(c, all_ones_evidence(c))
+        assert str(upward.value) == "invalid circuit -- decomposability: [('p', 'a', 'b', 'X')]"
+        with pytest.raises(ValidationError) as batch:
+            marginal_batch(c, [[0.5], [0.7]])
+        assert str(batch.value) == str(upward.value)

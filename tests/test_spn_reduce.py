@@ -25,6 +25,7 @@ from klbp.spn_reduce import (
     spn_to_factor_graph,
 )
 
+from test_simplex import old_literal_consensus
 from test_spn import soft_evidence, two_component_circuit
 
 
@@ -250,6 +251,24 @@ class TestRegionTwoStep:
         arrays, _, _ = spn_marginals(c, e)
         for v in c.variable_order():
             np.testing.assert_allclose(fam.var_marginals[v], arrays[v], atol=1e-10)
+
+    def test_literal_gaps_match_the_old_log_loop(self):
+        literal = 0
+        for seed in range(20):
+            c, e = gen_spn(seed)
+            fam = region_two_step(c, e)
+            joint = scope_tables(c, e)[c.root]
+            joint = joint / joint.sum()
+            root_vars = tuple(sorted(c.scope(c.root)))
+            for scope, ids in fam.groups.items():
+                exact = joint.sum(axis=tuple(i for i, v in enumerate(root_vars) if v not in scope))
+                lit = old_literal_consensus([fam.init_tables[nid] for nid in ids])
+                diag = fam.diagnostics[scope]
+                assert diag["degenerate"] is (lit is None)
+                if lit is not None:
+                    literal += 1
+                    assert abs(diag["literal_gap"] - float(np.abs(lit - exact).max())) <= 1e-15
+        assert literal >= 20
 
     def test_init_tables_normalized(self):
         c, e = gen_spn(3)
