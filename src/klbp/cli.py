@@ -295,15 +295,20 @@ def cmd_spn_kkt(args):
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
     kkt = spn.kkt_multipliers(circuit, S, D)  # verifies its identities
-    pi_ok = all(0.0 < v <= 1.0 + 1e-12 for v in kkt["pi"].values())
-    mu_ok = all(v > 0.0 for v in kkt["mu"].values())
+    pi = np.fromiter(kkt["pi"].values(), float)
+    mu = np.fromiter(kkt["mu"].values(), float)
+    pi_ok = all(0.0 < v <= 1.0 + 1e-12 for v in pi)
+    mu_ok = all(v > 0.0 for v in mu)
+    # the worst distance outside (0, 1 + 1e-12] and (0, inf); NaN stays NaN
+    pi_out = worst_error(np.maximum(0.0, np.maximum(-pi, pi - (1.0 + 1e-12))))
+    mu_out = worst_error(np.maximum(0.0, -mu))
     outputs = {
         "pi": kkt["pi"],
         "mu": {f"{pid}[{pos}]": val for (pid, pos), val in kkt["mu"].items()},
     }
     checks = {
-        "pi_in_unit_interval": _check(0.0, 0.0, pi_ok),
-        "mu_positive": _check(0.0, 0.0, mu_ok),
+        "pi_in_unit_interval": _check(pi_out, 0.0, pi_ok),
+        "mu_positive": _check(mu_out, 0.0, mu_ok),
     }
     return outputs, checks
 

@@ -2,10 +2,13 @@
 
 Everything here is deliberately independent of the closed forms it is used
 to check: projections are found by seeded multi-start gradient descent in an
-interior parametrization (the starts run together as one ``(starts, dim)``
-array, then finite-difference Newton steps polish each), marginals by
-exhaustive enumeration, gradients by central finite differences and by a
-plain tape-based reverse sweep.  These run at desk scale only.
+interior parametrization, where every constraint set is a product of
+softmaxes with one gradient formula (the starts run together as one
+``(starts, dim)`` array, then finite-difference Newton steps polish each);
+marginals by exhaustive enumeration that adds log weights and normalizes
+about the largest, so no product under- or overflows; gradients by central
+finite differences and by a plain tape-based reverse sweep.  These run at
+desk scale only.
 """
 
 from __future__ import annotations
@@ -60,10 +63,16 @@ ConstraintSpec = DiagonalFace | ProductFamily | EqualCopies
 
 
 def _diag_indices(shape: JointShape) -> Array:
+    """Flat indices of the cells where every replica agrees.  As for the
+    closed form ``simplex.i_project_diagonal``, the face needs one replica
+    group over every axis, and at least two axes."""
     k = len(shape.sizes)
-    d = shape.sizes[0]
+    if len(shape.groups) != 1 or set(shape.groups[0]) != set(range(k)):
+        raise ValidationError("DiagonalFace expects every axis in one replica group")
+    if k < 2:
+        raise ValidationError("DiagonalFace needs at least two replicas")
     strides = [math.prod(shape.sizes[i + 1:]) for i in range(k)]
-    return np.arange(d) * int(sum(strides))
+    return np.arange(shape.sizes[0]) * int(sum(strides))
 
 
 def _softmax_rows(u: Array) -> Array:
@@ -78,10 +87,18 @@ def _rowdot(a: Array, b: Array) -> Array:
 class _Problem:
     """Objective/gradient in an interior softmax parametrization.
 
-    The constraint kind and the generator are resolved once here; every
-    evaluation then takes a ``(rows, dim)`` stack of parameter vectors, one
-    row per start (or finite-difference bump), and returns ``(rows,)``
-    objective values and ``(rows, dim)`` gradients.
+    Every constraint set is a product r = p_1 x ... x p_K of factors
+    p_a = softmax(u_a): one per axis for ``ProductFamily``, and a single one
+    over the d cells for ``DiagonalFace`` and ``EqualCopies``.  The
+    divergence compares r with each row of a ``(T, N)`` target stack, T
+    tables for copies and one otherwise.  KL is separable, so a face's
+    targets are cut to its diagonal cells once; only a Mahalanobis metric
+    scatters r onto those cells of the full grid.
+
+    With w = (dJ/dr) * r, the gradient on factor a is the axis-a marginal of
+    w minus p_a * sum(w).  Every evaluation takes a ``(rows, dim)`` stack of
+    parameter vectors, one row per start (or finite-difference bump), and
+    returns ``(rows,)`` objective values and ``(rows, dim)`` gradients.
     """
 
     def __init__(self, gen: Generator, spec: ConstraintSpec, q, side: str):
@@ -89,6 +106,7 @@ class _Problem:
             raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
         self.side = side
         self.mat = None if isinstance(gen, NegativeEntropy) else gen.matrix
+        self.cells = slice(None)  # the cells of the target grid that r covers
         if isinstance(spec, EqualCopies):
             if not isinstance(q, (list, tuple)) or len(q) != spec.count:
                 raise ValidationError(
@@ -100,111 +118,75 @@ class _Problem:
             lengths = [row.size for row in rows]
             if len(set(lengths)) > 1:
                 raise ValidationError(f"EqualCopies tables differ in length: {lengths}")
-            self.kind = "copies"
             self.targets = np.array(rows)
-            self.dim = self.targets.shape[1]
+            self.sizes = (lengths[0],)
             self.outcomes = q[0].outcomes
+        elif isinstance(spec, ProductFamily):
+            spec.shape.check_length(q, what="numeric_projection")
+            self.targets = np.asarray(q.probs, dtype=float)[None]
+            self.sizes = spec.shape.sizes
+            self.outcomes = q.outcomes
         elif isinstance(spec, DiagonalFace):
             spec.shape.check_length(q, what="numeric_projection")
             if self.mat is None and side == "right":
                 raise ValidationError(
                     "right KL projection onto a face of an interior point diverges"
                 )
-            self.kind = "diagonal"
-            self.q_full = np.asarray(q.probs, dtype=float)
-            self.diag_idx = _diag_indices(spec.shape)
-            self.dim = spec.shape.sizes[0]
-            k = len(spec.shape.sizes)
-            self.outcomes = tuple((t,) * k for t in range(self.dim))
-        elif isinstance(spec, ProductFamily):
-            spec.shape.check_length(q, what="numeric_projection")
-            self.kind = "product"
-            self.q_full = np.asarray(q.probs, dtype=float)
-            self.sizes = spec.shape.sizes
-            self.cuts = np.cumsum(self.sizes)[:-1]
-            self.dim = sum(self.sizes)
-            self.outcomes = q.outcomes
+            self.cells = _diag_indices(spec.shape)
+            self.targets = np.asarray(q.probs, dtype=float)[None]
+            if self.mat is None:  # KL is separable: only the face's cells count
+                self.targets = self.targets[:, self.cells]
+            self.sizes = (self.cells.size,)
+            self.outcomes = tuple((t,) * len(spec.shape.sizes) for t in range(self.cells.size))
         else:
             raise ValidationError(f"unknown constraint spec {spec!r}")
-
-    # -- parameter stack u -> candidate points and objective gradients
+        n = math.prod(self.sizes)
+        self.dim = sum(self.sizes)
+        stops = np.cumsum(self.sizes)
+        self.blocks = [slice(stop - s, stop) for s, stop in zip(self.sizes, stops)]
+        # axis a of the joint grid, viewed as (cells before, size, cells after)
+        before = np.cumprod((1, *self.sizes[:-1]))
+        self.frames = [(b, s, n // (b * s)) for b, s in zip(before, self.sizes)]
 
     def split(self, u: Array) -> list[Array]:
-        if self.kind != "product":
-            return [_softmax_rows(u)]
-        return [_softmax_rows(b) for b in np.split(u, self.cuts, axis=-1)]
+        return [_softmax_rows(u[:, block]) for block in self.blocks]
 
-    def _joint(self, parts: list[Array]) -> Array:
-        """Outer product of per-axis factors, batch axis first (label 0)."""
-        operands = []
-        for axis, p in enumerate(parts):
-            operands += (p, [0, axis + 1])
-        return np.einsum(*operands, list(range(len(parts) + 1)))
+    @staticmethod
+    def _joint(parts: list[Array]) -> Array:
+        """Row-major outer product of the factors, one row per start."""
+        r = parts[0]
+        for p in parts[1:]:
+            r = (r[:, :, None] * p[:, None, :]).reshape(len(r), -1)
+        return r
 
     def value_grad(self, u: Array) -> tuple[Array, Array]:
-        if self.kind == "product":
-            return self._value_grad_product(u)
-        p = _softmax_rows(u)
-        if self.kind == "copies":
-            t = self.targets[None]
-            pp = p[:, None]
-            if self.mat is None and self.side == "left":
-                val = np.sum(pp * (np.log(pp) - np.log(t)), axis=(1, 2))
-                gamma = np.sum(np.log(pp) - np.log(t) + 1.0, axis=1)
-            elif self.mat is None:
-                val = np.sum(t * (np.log(t) - np.log(pp)), axis=(1, 2))
-                gamma = np.sum(-t / pp, axis=1)
-            else:
-                diff = pp - t
-                adiff = diff @ self.mat.T
-                val = 0.5 * np.sum(diff * adiff, axis=(1, 2))
-                gamma = np.sum(adiff, axis=1)
-        elif self.mat is None:  # diagonal face, left KL
-            qd = self.q_full[self.diag_idx]
-            val = np.sum(p * (np.log(p) - np.log(qd)), axis=1)
-            gamma = np.log(p) - np.log(qd) + 1.0
-        else:
-            diff = np.zeros((u.shape[0], self.q_full.size))
-            diff[:, self.diag_idx] = p
-            diff -= self.q_full
-            adiff = diff @ self.mat.T
-            val = 0.5 * _rowdot(diff, adiff)
-            gamma = adiff[:, self.diag_idx]
-        return val, p * (gamma - _rowdot(p, gamma)[:, None])
-
-    def _value_grad_product(self, u: Array) -> tuple[Array, Array]:
         parts = self.split(u)
-        rows = u.shape[0]
-        r = self._joint(parts).reshape(rows, -1)
-        q = self.q_full
-        if self.mat is None:
-            if self.side == "left":
-                val = np.sum(r * (np.log(r) - np.log(q)), axis=1)
-                djdr = np.log(r) - np.log(q) + 1.0
-            else:
-                val = np.sum(q * (np.log(q) - np.log(r)), axis=1)
-                djdr = -q / r
+        r = self._joint(parts)
+        t = self.targets
+        if self.mat is not None:
+            full = np.zeros((len(r), t.shape[1]))
+            full[:, self.cells] = r
+            diff = full[:, None] - t
+            adiff = diff @ self.mat.T
+            val = 0.5 * np.sum(diff * adiff, axis=(1, 2))
+            djdr = adiff.sum(axis=1)[:, self.cells]
+        elif self.side == "left":
+            log_ratio = np.log(r)[:, None] - np.log(t)
+            val = np.sum(r[:, None] * log_ratio, axis=(1, 2))
+            djdr = np.sum(log_ratio + 1.0, axis=1)
         else:
-            diff = r - q
-            djdr = diff @ self.mat.T
-            val = 0.5 * _rowdot(diff, djdr)
-        n_axes = len(parts)
-        grid = (djdr.reshape(rows, *self.sizes), list(range(n_axes + 1)))
-        pieces = []
-        for axis, p in enumerate(parts):
-            operands = list(grid)
-            for b in range(n_axes):
-                if b != axis:
-                    operands += (parts[b], [0, b + 1])
-            h = np.einsum(*operands, [0, axis + 1])
-            pieces.append(p * (h - _rowdot(p, h)[:, None]))
-        return val, np.concatenate(pieces, axis=1)
+            val = np.sum(t * (np.log(t) - np.log(r)[:, None]), axis=(1, 2))
+            djdr = -np.sum(t / r[:, None], axis=1)
+        w = djdr * r
+        total = w.sum(axis=1, keepdims=True)
+        grads = [
+            w.reshape(-1, *frame).sum(axis=(1, 3)) - p * total
+            for frame, p in zip(self.frames, parts)
+        ]
+        return val, np.concatenate(grads, axis=1)
 
     def finish(self, u: Array) -> DistVec:
-        parts = self.split(u[None])
-        if self.kind != "product":
-            return DistVec.from_weights(parts[0][0], self.outcomes)
-        return DistVec.from_weights(self._joint(parts).reshape(-1), self.outcomes)
+        return DistVec.from_weights(self._joint(self.split(u[None]))[0], self.outcomes)
 
 
 def _descend(problem: _Problem, u0: Array) -> Array:
@@ -331,8 +313,9 @@ def numeric_projection(
         raise ValidationError(
             f"numeric projection limited to 64 parameters, got {problem.dim}"
         )
-    if problem.kind == "product" and len(problem.sizes) > 51:
-        # einsum has 52 axis labels, and the batch of starts takes one
+    if len(problem.sizes) > 51:
+        # the engine's einsum axis budget (52 labels) less the batch of
+        # starts: no product is checked that the closed forms could not build
         raise ValidationError(
             f"numeric projection limited to 51 product axes, got {len(problem.sizes)}"
         )
@@ -353,30 +336,35 @@ def numeric_projection(
 
 
 def enumerate_fg_marginals(fg) -> dict:
-    """Exact per-variable marginals of a factor graph by direct contraction."""
+    """Exact per-variable marginals of a factor graph by direct contraction,
+    adding the factors' log tables."""
     sizes = tuple(v.cardinality for v in fg.variables)
     n = math.prod(sizes)
     budgets.check_assignments(n, what="factor-graph enumeration")
     var_pos = {v.id: i for i, v in enumerate(fg.variables)}
-    joint = np.ones(sizes)
+    log_joint = np.zeros(sizes)
     for fac in fg.factors:
         axes = tuple(var_pos[v] for v in fac.vars)
         expand = [1] * len(sizes)
         for a, v in zip(axes, fac.vars):
             expand[a] = fg.cardinality(v)
-        perm_shape = fac.table
         # move factor axes into joint axis order before broadcasting
-        order = np.argsort(axes)
-        arranged = np.transpose(perm_shape, order)
-        joint = joint * arranged.reshape(expand)
-    total = joint.sum()
-    if total <= 0.0:
-        raise ValidationError("factor product has zero total mass")
-    return _axis_marginals(joint, [v.id for v in fg.variables])
+        arranged = np.transpose(fac.table, np.argsort(axes))
+        with np.errstate(divide="ignore"):
+            log_joint = log_joint + np.log(arranged).reshape(expand)
+    return _axis_marginals(
+        log_joint, [v.id for v in fg.variables], "factor product has zero total mass"
+    )
 
 
-def _axis_marginals(joint: Array, names) -> dict:
-    """Normalized marginal of each axis of ``joint``, keyed by its name."""
+def _axis_marginals(log_joint: Array, names, empty: str) -> dict:
+    """Normalized marginal of each axis of the joint exp(``log_joint``),
+    keyed by its name.  The joint is scaled about its largest entry, so no
+    weight under- or overflows; an all-zero joint raises ``empty``."""
+    top = log_joint.max()
+    if top == -math.inf:
+        raise ValidationError(empty)
+    joint = np.exp(log_joint - top)
     out = {}
     for i, name in enumerate(names):
         marg = joint.sum(axis=tuple(j for j in range(joint.ndim) if j != i))
@@ -451,9 +439,9 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
     """Exact circuit marginals by network-polynomial coefficient extraction.
 
     For each complete assignment x the coefficient c(x) is the circuit value
-    under one-hot indicators at x; the weighted sums c(x) * prod_i
-    lambda_i(x_i) then give the unnormalized joint, from which marginals
-    follow by direct summation.
+    under one-hot indicators at x; the log weights log c(x) + sum_i
+    log lambda_i(x_i) then give the unnormalized log joint, from which
+    marginals follow by direct summation.
     """
     from .spn import require_valid
 
@@ -462,7 +450,7 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
     sizes = [circuit.cardinality(v) for v in variables]
     n = math.prod(sizes) if sizes else 1
     budgets.check_assignments(n, what="circuit enumeration")
-    joint = np.zeros(sizes) if sizes else np.zeros(())
+    coef = np.zeros(sizes) if sizes else np.zeros(())
     for flat in range(n):
         assign = np.unravel_index(flat, sizes) if sizes else ()
         onehot = {}
@@ -470,14 +458,14 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
             lam = np.zeros(circuit.cardinality(v))
             lam[t] = 1.0
             onehot[v] = lam
-        weight = _reference_upward(circuit, onehot)[circuit.root]
-        for v, t in zip(variables, assign):
-            weight *= evidence.lam[v][t]
-        joint[assign] = weight
-    total = joint.sum()
-    if total <= 0.0:
-        raise ValidationError("evidence has zero probability under the circuit")
-    return _axis_marginals(joint, variables)
+        coef[assign] = _reference_upward(circuit, onehot)[circuit.root]
+    with np.errstate(divide="ignore"):
+        log_joint = np.log(coef)
+        for axis, v in enumerate(variables):
+            expand = [1] * len(sizes)
+            expand[axis] = sizes[axis]
+            log_joint = log_joint + np.log(evidence.lam[v]).reshape(expand)
+    return _axis_marginals(log_joint, variables, "evidence has zero probability under the circuit")
 
 
 # ----------------------------------------------------- finite differences

@@ -45,6 +45,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import budgets
 from .errors import SchemaError, ValidationError, whole_number
 from .toposort import topo_sort
 
@@ -115,9 +116,10 @@ class SpnCircuit:
         self._scopes = self._compute_scopes()
         self._cards: dict[str, int] = {}
         for n in self.nodes:
-            if n.kind == "leaf":
-                cur = self._cards.get(n.var, 0)
-                self._cards[n.var] = max(cur, n.state + 1)
+            if n.kind == "leaf" and n.state >= self._cards.get(n.var, 0):
+                # every pass keeps one slot per (variable, state)
+                budgets.check_joint_entries(n.state + 1, what=f"variable {n.var!r} of leaf {n.id!r}")
+                self._cards[n.var] = n.state + 1
 
     def _compute_scopes(self) -> dict[str, frozenset]:
         scopes: dict[str, frozenset] = {}

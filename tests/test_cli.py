@@ -900,3 +900,70 @@ class TestReportPlumbing:
         code, rep = run_cli(capsys, "spn", "validate", "--circuit", files["circuit"])
         want = hashlib.sha256(open(files["circuit"], "rb").read()).hexdigest()
         assert rep["inputs"][files["circuit"]] == want
+
+
+def _seed3_graph(scale: dict, entry=None) -> dict:
+    """The ``gen fg --seed 3`` graph with the named factor tables scaled, and
+    optionally one table entry replaced."""
+    from klbp import factorgraph, generators
+
+    graph = factorgraph.fg_to_json(generators.gen_fg(3))
+    for fac in graph["factors"]:
+        fac["table"] = [v * scale.get(fac["id"], 1.0) for v in fac["table"]]
+        if entry and fac["id"] == entry[0]:
+            fac["table"][entry[1]] = entry[2]
+    return graph
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scale,entry",
+    [({"root": 1e-200, "e1": 1e-200}, None), ({}, ("e1", 0, 1e308))],
+    ids=["tables-scaled-by-1e-200", "entry-1e308"],
+)
+def test_fg_bp_oracle_survives_extreme_tables(capsys, tmp_path, scale, entry):
+    """The enumeration oracle works in logs, so tables whose product under- or
+    overflows still check tree BP."""
+    from klbp import factorgraph
+
+    graph = _seed3_graph(scale, entry)
+    path = tmp_path / "fg.json"
+    path.write_text(json.dumps(graph))
+    code = main(["fg", "bp", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("wall_time_s=") and captured.err.count("\n") == 1
+    rep = json.loads(captured.out)
+    assert rep["checks"]["oracle_marginals"]["pass"]
+    assert rep["checks"]["oracle_marginals"]["max_abs_error"] <= 1e-10
+    # scaling a table is a gauge: the beliefs are those of the unscaled graph
+    fg = factorgraph.fg_from_json(_seed3_graph({}, entry))
+    tree = factorgraph.bp_beliefs(fg, factorgraph.bp_run_tree(fg))
+    for name, belief in rep["outputs"]["beliefs"].items():
+        np.testing.assert_allclose(belief, tree[name], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan")])
+def test_kkt_checks_report_the_worst_violation(capsys, files, monkeypatch, bad):
+    from klbp import spn
+
+    real = spn.kkt_multipliers
+
+    def spoiled(*args):
+        kkt = real(*args)
+        kkt["pi"] = {**kkt["pi"], "r": bad}
+        kkt["mu"] = {**kkt["mu"], next(iter(kkt["mu"])): -bad}
+        return kkt
+
+    monkeypatch.setattr(spn, "kkt_multipliers", spoiled)
+    code, rep = run_cli(
+        capsys, "spn", "kkt", "--circuit", files["circuit"], "--evidence", files["lambda"]
+    )
+    assert code == 3
+    pi, mu = rep["checks"]["pi_in_unit_interval"], rep["checks"]["mu_positive"]
+    assert not pi["pass"] and not mu["pass"] and pi["tol"] == mu["tol"] == 0
+    if math.isnan(bad):
+        assert pi["max_abs_error"] == mu["max_abs_error"] == "nan"
+    else:
+        assert pi["max_abs_error"] == pytest.approx(0.5 - 1e-12, abs=1e-15)
+        assert mu["max_abs_error"] == 1.5

@@ -6,6 +6,7 @@ from klbp.oracle import (
     DiagonalFace,
     EqualCopies,
     ProductFamily,
+    _Problem,
     finite_diff_grad,
     numeric_projection,
 )
@@ -211,3 +212,55 @@ def test_product_family_axis_limit():
     q = DistVec(np.array([1.0]), joint_outcomes((1,) * 51))
     best = numeric_projection(ENTROPY, ProductFamily(JointShape((1,) * 51)), q, "left")
     np.testing.assert_allclose(best.probs, [1.0])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        JointShape((2, 3)),  # no replica group
+        JointShape((2, 2, 2), groups=((0, 1),)),  # axis 2 left free
+        JointShape((2, 2), groups=((0,), (1,))),  # two groups
+        JointShape((3,), groups=((0,),)),  # a single replica
+    ],
+)
+def test_diagonal_face_takes_the_shapes_the_closed_form_takes(shape):
+    q = rand_joint(np.random.default_rng(89), shape.sizes)
+    with pytest.raises(ValidationError, match="i_project_diagonal"):
+        i_project_diagonal(q, shape)
+    with pytest.raises(ValidationError, match="DiagonalFace"):
+        numeric_projection(ENTROPY, DiagonalFace(shape), q, "left")
+
+
+def _spd(rng, n):
+    base = rng.standard_normal((n, n))
+    return Mahalanobis(base @ base.T + n * np.eye(n))
+
+
+@pytest.mark.parametrize(
+    "family,metric,side",
+    [
+        ("copies", "entropy", "left"),
+        ("copies", "entropy", "right"),
+        ("copies", "mahalanobis", "left"),
+        ("diagonal", "entropy", "left"),
+        ("diagonal", "mahalanobis", "left"),
+        ("product", "entropy", "left"),
+        ("product", "entropy", "right"),
+        ("product", "mahalanobis", "left"),
+    ],
+)
+def test_value_grad_matches_central_differences(family, metric, side):
+    rng = np.random.default_rng(97)
+    if family == "copies":
+        spec, q, n = EqualCopies(3), [rand_joint(rng, (4,)) for _ in range(3)], 4
+    elif family == "diagonal":
+        spec, q, n = DiagonalFace(JointShape((3, 3), groups=((0, 1),))), rand_joint(rng, (3, 3)), 9
+    else:
+        spec, q, n = ProductFamily(JointShape((2, 3, 2))), rand_joint(rng, (2, 3, 2)), 12
+    gen = ENTROPY if metric == "entropy" else _spd(rng, n)
+    problem = _Problem(gen, spec, q, side)
+    points = rng.standard_normal((3, problem.dim))
+    _, grads = problem.value_grad(points)
+    for point, grad in zip(points, grads):
+        fd = finite_diff_grad(lambda u: float(problem.value_grad(u[None])[0][0]), point)
+        assert np.abs(fd - grad).max() <= 1e-7 * max(1.0, np.abs(grad).max())

@@ -7,7 +7,7 @@ import pytest
 
 from klbp import oracle
 
-from klbp.errors import SchemaError, ValidationError
+from klbp.errors import BudgetError, SchemaError, ValidationError
 from klbp.generators import gen_spn
 from klbp.oracle import enumerate_spn_marginals, finite_diff_grad
 from klbp.spn import (
@@ -729,3 +729,12 @@ class TestCompiledPasses:
         with pytest.raises(ValidationError) as batch:
             marginal_batch(c, [[0.5], [0.7]])
         assert str(batch.value) == str(upward.value)
+
+
+def test_leaf_state_is_capped_when_the_circuit_is_built():
+    # every pass keeps one slot per (variable, state); the cap stops a huge
+    # state here, before any pass allocates for it
+    leaves = [SpnNode("a0", "leaf", var="A", state=0), SpnNode("big", "leaf", var="A", state=10**9)]
+    root = SpnNode("s", "sum", children=("a0", "big"), weights=(0.5, 0.5))
+    with pytest.raises(BudgetError, match=r"variable 'A' of leaf 'big' needs 1000000001 entries"):
+        SpnCircuit([*leaves, root], "s")
