@@ -5,6 +5,7 @@ typo in an instance file cannot turn a desk check into an overnight job.  The
 ``KLBP_BUDGET`` environment variable overrides the default.
 """
 
+import math
 import os
 
 from .errors import BudgetError
@@ -26,14 +27,23 @@ def assignment_budget() -> int:
     return value
 
 
+def _count(n: int) -> str:
+    """A count in full up to 10**15, in scientific notation above, so a
+    huge count cannot flood a message."""
+    if n <= 10**15:
+        return str(n)
+    exp = int(math.log10(n))
+    return f"{n / 10**exp:.3f}e+{exp}"
+
+
 def check_assignments(count: int, *, what: str = "enumeration") -> None:
     budget = assignment_budget()
     if count > budget:
-        raise BudgetError(f"{what} needs {count} assignments, budget is {budget}")
+        raise BudgetError(f"{what} needs {_count(count)} assignments, budget is {_count(budget)}")
 
 
 def check_joint_entries(count: int, *, what: str = "joint table") -> None:
     if count > DEFAULT_JOINT_ENTRIES:
         raise BudgetError(
-            f"{what} needs {count} entries, cap is {DEFAULT_JOINT_ENTRIES}"
+            f"{what} needs {_count(count)} entries, cap is {DEFAULT_JOINT_ENTRIES}"
         )

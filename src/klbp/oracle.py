@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the closed forms it is used
 to check: projections are found by seeded multi-start gradient descent in an
 interior parametrization, where every constraint set is a product of
-softmaxes with one gradient formula (the starts run together as one
-``(starts, dim)`` array, then finite-difference Newton steps polish each);
+softmaxes with one gradient formula (the starts run in lockstep as one
+``(starts, dim)`` array, one trial step per live row per round, then
+finite-difference Newton steps polish them all with one batched solve);
 marginals by exhaustive enumeration that adds log weights and normalizes
 about the largest, so no product under- or overflows; gradients by central
 finite differences and by a plain tape-based reverse sweep.  These run at
@@ -75,11 +76,6 @@ def _diag_indices(shape: JointShape) -> Array:
     return np.arange(shape.sizes[0]) * int(sum(strides))
 
 
-def _softmax_rows(u: Array) -> Array:
-    e = np.exp(u - u.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _rowdot(a: Array, b: Array) -> Array:
     return np.einsum("...i,...i->...", a, b)
 
@@ -95,10 +91,11 @@ class _Problem:
     targets are cut to its diagonal cells once; only a Mahalanobis metric
     scatters r onto those cells of the full grid.
 
-    With w = (dJ/dr) * r, the gradient on factor a is the axis-a marginal of
-    w minus p_a * sum(w).  Every evaluation takes a ``(rows, dim)`` stack of
-    parameter vectors, one row per start (or finite-difference bump), and
-    returns ``(rows,)`` objective values and ``(rows, dim)`` gradients.
+    The problem is compiled once into a 0/1 matrix M (cells x factor
+    states), so log r = log p @ M^T, and with w = (dJ/dr) * r the gradient
+    is w @ M - p * sum(w).  Every evaluation takes a ``(rows, dim)`` stack
+    of parameter vectors, one row per start (or finite-difference bump),
+    and returns ``(rows,)`` objective values and ``(rows, dim)`` gradients.
     """
 
     def __init__(self, gen: Generator, spec: ConstraintSpec, q, side: str):
@@ -140,108 +137,93 @@ class _Problem:
             self.outcomes = tuple((t,) * len(spec.shape.sizes) for t in range(self.cells.size))
         else:
             raise ValidationError(f"unknown constraint spec {spec!r}")
-        n = math.prod(self.sizes)
         self.dim = sum(self.sizes)
-        stops = np.cumsum(self.sizes)
-        self.blocks = [slice(stop - s, stop) for s, stop in zip(self.sizes, stops)]
-        # axis a of the joint grid, viewed as (cells before, size, cells after)
-        before = np.cumprod((1, *self.sizes[:-1]))
-        self.frames = [(b, s, n // (b * s)) for b, s in zip(before, self.sizes)]
+        self.starts = np.cumsum((0, *self.sizes[:-1]))  # each factor's first parameter
+        self.block_of = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        states = np.indices(self.sizes).reshape(len(self.sizes), -1).T
+        self.onehot = np.zeros((len(states), self.dim))
+        self.onehot[np.arange(len(states))[:, None], self.starts + states] = 1.0
+        if self.mat is None:
+            t = self.targets
+            self.count = float(len(t))
+            self.sum_log = np.log(t).sum(axis=0)
+            self.sum_t = t.sum(axis=0)
+            self.neg_entropy = float(np.sum(t * np.log(t)))
+            self.pull = self.sum_t @ self.onehot  # right KL's constant -w @ M
 
-    def split(self, u: Array) -> list[Array]:
-        return [_softmax_rows(u[:, block]) for block in self.blocks]
-
-    @staticmethod
-    def _joint(parts: list[Array]) -> Array:
-        """Row-major outer product of the factors, one row per start."""
-        r = parts[0]
-        for p in parts[1:]:
-            r = (r[:, :, None] * p[:, None, :]).reshape(len(r), -1)
-        return r
+    def log_joint(self, u: Array) -> tuple[Array, Array]:
+        """The factors p (every block's softmax) and log r, one row per row
+        of ``u``; one max and one sum pass cover all blocks."""
+        shifted = u - np.maximum.reduceat(u, self.starts, axis=1)[:, self.block_of]
+        e = np.exp(shifted)
+        total = np.add.reduceat(e, self.starts, axis=1)[:, self.block_of]
+        return e / total, (shifted - np.log(total)) @ self.onehot.T
 
     def value_grad(self, u: Array) -> tuple[Array, Array]:
-        parts = self.split(u)
-        r = self._joint(parts)
-        t = self.targets
+        p, log_r = self.log_joint(u)
         if self.mat is not None:
+            r = np.exp(log_r)
+            t = self.targets
             full = np.zeros((len(r), t.shape[1]))
             full[:, self.cells] = r
             diff = full[:, None] - t
             adiff = diff @ self.mat.T
             val = 0.5 * np.sum(diff * adiff, axis=(1, 2))
-            djdr = adiff.sum(axis=1)[:, self.cells]
+            w = adiff.sum(axis=1)[:, self.cells] * r
         elif self.side == "left":
-            log_ratio = np.log(r)[:, None] - np.log(t)
-            val = np.sum(r[:, None] * log_ratio, axis=(1, 2))
-            djdr = np.sum(log_ratio + 1.0, axis=1)
-        else:
-            val = np.sum(t * (np.log(t) - np.log(r)[:, None]), axis=(1, 2))
-            djdr = -np.sum(t / r[:, None], axis=1)
-        w = djdr * r
-        total = w.sum(axis=1, keepdims=True)
-        grads = [
-            w.reshape(-1, *frame).sum(axis=(1, 3)) - p * total
-            for frame, p in zip(self.frames, parts)
-        ]
-        return val, np.concatenate(grads, axis=1)
-
-    def finish(self, u: Array) -> DistVec:
-        return DistVec.from_weights(self._joint(self.split(u[None]))[0], self.outcomes)
+            r = np.exp(log_r)
+            a = self.count * log_r - self.sum_log
+            val = _rowdot(r, a)
+            w = (a + self.count) * r
+        else:  # w = -sum_t t is constant
+            val = self.neg_entropy - log_r @ self.sum_t
+            return val, self.sum_t.sum() * p - self.pull
+        return val, w @ self.onehot - p * w.sum(axis=1, keepdims=True)
 
 
-def _descend(problem: _Problem, u0: Array) -> Array:
+def _descend(problem: _Problem, u0: Array) -> tuple[Array, Array, Array]:
     """Armijo gradient descent, one row per start, all starts in lockstep.
 
-    Each row keeps its own step, flat-step count and stop flag and follows
-    the single-start rules exactly; within a backtracking search only the
-    rows still searching are evaluated again.
+    Every round evaluates one trial step for every row, with no inner
+    backtracking loop; only live rows act on it.  A live row that passes the
+    Armijo test moves and lengthens its step, and one that fails halves its
+    step and tries again next round, so each row's trials are exactly those
+    it would make alone.  A row stops after five flat accepted steps, at a
+    vanishing gradient, or when its step underflows; returns the points,
+    values and gradients.
     """
     u = u0.copy()
     val, grad = problem.value_grad(u)
-    rows = u.shape[0]
-    step = np.ones(rows)
-    flat_count = np.zeros(rows, dtype=int)
-    live = np.ones(rows, dtype=bool)
-    for _ in range(MAX_DESCENT_STEPS):
-        live &= np.max(np.abs(grad), axis=1) > 1e-12
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            return u
-        slope = 1e-4 * _rowdot(grad[idx], grad[idx])
-        searching = np.arange(idx.size)
-        new_val = np.empty(idx.size)
-        new_u = np.empty((idx.size, u.shape[1]))
-        new_grad = np.empty_like(new_u)
-        moved = np.zeros(idx.size, dtype=bool)
-        while searching.size:
-            rows_s = idx[searching]
-            trial = u[rows_s] - step[rows_s, None] * grad[rows_s]
-            tval, tgrad = problem.value_grad(trial)
-            ok = tval <= val[rows_s] - step[rows_s] * slope[searching]
-            hit = searching[ok]
-            new_u[hit], new_val[hit], new_grad[hit] = trial[ok], tval[ok], tgrad[ok]
-            moved[hit] = True
-            searching = searching[~ok]
-            step[idx[searching]] *= 0.5
-            # no descent direction left at float precision: the row stops
-            stalled = step[idx[searching]] < 1e-18
-            live[idx[searching[stalled]]] = False
-            searching = searching[~stalled]
-        at = idx[moved]
-        tval = new_val[moved]
-        flat = np.abs(val[at] - tval) <= DESCENT_TOL * np.maximum(1.0, np.abs(val[at]))
-        flat_count[at] = np.where(flat, flat_count[at] + 1, 0)
-        u[at], val[at], grad[at] = new_u[moved], tval, new_grad[moved]
-        step[at] = np.minimum(step[at] * 1.3, 1e3)
-        live[at[flat_count[at] >= 5]] = False
-    if live.any():
-        raise ValidationError(
-            f"numeric projection did not converge within {MAX_DESCENT_STEPS} steps"
-        )
-    return u
+    step = np.ones(len(u))
+    flat = np.zeros(len(u), dtype=int)
+    accepted = np.zeros(len(u), dtype=int)
+    live = np.ones(len(u), dtype=bool)
+    while True:
+        live &= np.abs(grad).max(axis=1) > 1e-12
+        if not live.any():
+            return u, val, grad
+        trial = u - step[:, None] * grad
+        tval, tgrad = problem.value_grad(trial)
+        ok = live & (tval <= val - step * (1e-4 * _rowdot(grad, grad)))
+        small = np.abs(val - tval) <= DESCENT_TOL * np.maximum(1.0, np.abs(val))
+        flat = np.where(ok, (flat + 1) * small, flat)
+        accepted += ok
+        u = np.where(ok[:, None], trial, u)
+        val = np.where(ok, tval, val)
+        grad = np.where(ok[:, None], tgrad, grad)
+        step = np.where(ok, np.minimum(step * 1.3, 1e3), step * 0.5)
+        # a row stops after five flat steps, or with no descent direction
+        # left at float precision
+        live &= (step >= 1e-18) & (flat < 5)
+        if (live & (accepted >= MAX_DESCENT_STEPS)).any():
+            raise ValidationError(
+                f"numeric projection did not converge within {MAX_DESCENT_STEPS} steps"
+            )
 
 
-def _polish(problem: _Problem, u: Array, rounds: int = 8) -> Array:
+def _polish(
+    problem: _Problem, u: Array, val: Array, grad: Array, rounds: int = 8
+) -> tuple[Array, Array]:
     """Finite-difference Newton steps to squeeze out first-order stall.
 
     Gradient descent plateaus once objective changes hit float granularity,
@@ -249,18 +231,17 @@ def _polish(problem: _Problem, u: Array, rounds: int = 8) -> Array:
     (Hessian by central differences of the analytic gradient, pseudo-inverse
     to absorb the softmax gauge direction) push each start to machine-level
     stationarity.  All live starts share one evaluation of their stacked
-    +-h bumps per round, and one batched backtracking search.  A start keeps
-    its incoming point, and stops, whenever its step fails to improve the
-    objective.
+    +-h bumps and one batched pseudo-inverse per round, and one halving
+    search.  A start keeps its incoming point, and stops, whenever its step
+    fails to improve the objective.  Returns the points and their values.
     """
-    u = u.copy()
-    val, grad = problem.value_grad(u)
+    u, val, grad = u.copy(), val.copy(), grad.copy()
     n = u.shape[1]
     h = 1e-6
     bumps = np.concatenate([h * np.eye(n), -h * np.eye(n)])
-    live = np.ones(u.shape[0], dtype=bool)
+    live = np.ones(len(u), dtype=bool)
     for _ in range(rounds):
-        live &= np.max(np.abs(grad), axis=1) > 1e-13
+        live &= np.abs(grad).max(axis=1) > 1e-13
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
@@ -268,27 +249,23 @@ def _polish(problem: _Problem, u: Array, rounds: int = 8) -> Array:
         g = g.reshape(idx.size, 2, n, n)
         hess = np.swapaxes(g[:, 0] - g[:, 1], 1, 2) / (2.0 * h)
         hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-        direction = np.array(
-            [np.linalg.lstsq(hm, grad[i], rcond=1e-10)[0] for hm, i in zip(hess, idx)]
-        )
-        finite = np.all(np.isfinite(direction), axis=1)
+        direction = (np.linalg.pinv(hess, rcond=1e-10) @ grad[idx, :, None])[..., 0]
+        finite = np.isfinite(direction).all(axis=1)
         live[idx[~finite]] = False
-        searching, direction = idx[finite], direction[finite]
-        alpha = np.ones(searching.size)
-        while searching.size:
-            trial = u[searching] - alpha[:, None] * direction
+        rows, direction = idx[finite], direction[finite]
+        alpha = 1.0
+        while rows.size and alpha >= 1e-4:
+            trial = u[rows] - alpha * direction
             tval, tgrad = problem.value_grad(trial)
             ok = np.isfinite(tval) & (
-                tval <= val[searching] + 1e-14 * np.maximum(1.0, np.abs(val[searching]))
+                tval <= val[rows] + 1e-14 * np.maximum(1.0, np.abs(val[rows]))
             )
-            hit = searching[ok]
+            hit = rows[ok]
             u[hit], val[hit], grad[hit] = trial[ok], tval[ok], tgrad[ok]
-            alpha = alpha[~ok] * 0.5
-            searching, direction = searching[~ok], direction[~ok]
-            failed = alpha < 1e-4
-            live[searching[failed]] = False
-            searching, direction, alpha = searching[~failed], direction[~failed], alpha[~failed]
-    return u
+            rows, direction = rows[~ok], direction[~ok]
+            alpha *= 0.5
+        live[rows] = False
+    return u, val
 
 
 def numeric_projection(
@@ -314,18 +291,17 @@ def numeric_projection(
             f"numeric projection limited to 64 parameters, got {problem.dim}"
         )
     if len(problem.sizes) > 51:
-        # the engine's einsum axis budget (52 labels) less the batch of
-        # starts: no product is checked that the closed forms could not build
+        # the engine's einsum axis budget (52 labels) less one batch axis:
+        # no product is checked that a batched pass could not hold
         raise ValidationError(
             f"numeric projection limited to 51 product axes, got {len(problem.sizes)}"
         )
     rng = np.random.default_rng(seed)
     u0 = np.zeros((N_STARTS, problem.dim))
-    for start in range(1, N_STARTS):
-        u0[start] = rng.standard_normal(problem.dim)
-    u = _polish(problem, _descend(problem, u0))
-    values, _ = problem.value_grad(u)
-    solutions = [problem.finish(row) for row in u]
+    u0[1:] = rng.standard_normal((N_STARTS - 1, problem.dim))
+    u, values = _polish(problem, *_descend(problem, u0))
+    weights = np.exp(problem.log_joint(u)[1])
+    solutions = [DistVec.from_weights(row, problem.outcomes) for row in weights]
     best = solutions[int(np.argmin(values))]
     if return_all:
         return best, solutions
@@ -394,22 +370,25 @@ def _reference_upward(circuit, lam: dict) -> dict:
 
 
 def _reference_upward_log(circuit, lam: dict) -> dict:
-    """Log-domain twin of ``_reference_upward`` (-inf encodes exact zeros)."""
-    logs: dict[str, float] = {}
-    for nid in circuit.topo():
-        n = circuit.node(nid)
-        if n.kind == "leaf":
-            v = float(lam[n.var][n.state])
-            logs[nid] = math.log(v) if v > 0.0 else -math.inf
-        elif n.kind == "product":
-            logs[nid] = float(sum(logs[c] for c in n.children))
-        else:
-            terms = [math.log(w) + logs[c] for c, w in zip(n.children, n.weights)]
-            top = max(terms)
-            if top == -math.inf:
-                logs[nid] = -math.inf
+    """Log-domain twin of ``_reference_upward`` (-inf encodes exact zeros).
+
+    Each indicator ``lam[v][s]`` may be a number or an array, so one walk
+    covers many indicator settings at once.  A sum takes a log-sum-exp about
+    its largest weighted child, and an all -inf sum stays -inf.
+    """
+    logs: dict = {}
+    with np.errstate(divide="ignore"):
+        for nid in circuit.topo():
+            n = circuit.node(nid)
+            if n.kind == "leaf":
+                logs[nid] = np.log(lam[n.var][n.state])
+            elif n.kind == "product":
+                logs[nid] = sum(logs[c] for c in n.children)
             else:
-                logs[nid] = top + math.log(sum(math.exp(t - top) for t in terms))
+                terms = (np.array([logs[c] for c in n.children]).T + np.log(n.weights)).T
+                top = terms.max(axis=0)
+                top = np.where(top == -math.inf, 0.0, top)
+                logs[nid] = top + np.log(np.exp(terms - top).sum(axis=0))
     return logs
 
 
@@ -439,28 +418,31 @@ def enumerate_spn_marginals(circuit, evidence) -> dict:
     """Exact circuit marginals by network-polynomial coefficient extraction.
 
     For each complete assignment x the coefficient c(x) is the circuit value
-    under one-hot indicators at x; the log weights log c(x) + sum_i
-    log lambda_i(x_i) then give the unnormalized log joint, from which
-    marginals follow by direct summation.
+    under one-hot indicators at x, taken in logs so that no weight product
+    underflows; the log weights log c(x) + sum_i log lambda_i(x_i) then give
+    the unnormalized log joint, from which marginals follow by direct
+    summation.
     """
     from .spn import require_valid
 
     require_valid(circuit)
     variables = circuit.variable_order()
     sizes = [circuit.cardinality(v) for v in variables]
-    n = math.prod(sizes) if sizes else 1
+    n = math.prod(sizes)
     budgets.check_assignments(n, what="circuit enumeration")
-    coef = np.zeros(sizes) if sizes else np.zeros(())
-    for flat in range(n):
-        assign = np.unravel_index(flat, sizes) if sizes else ()
-        onehot = {}
-        for v, t in zip(variables, assign):
-            lam = np.zeros(circuit.cardinality(v))
-            lam[t] = 1.0
-            onehot[v] = lam
-        coef[assign] = _reference_upward(circuit, onehot)[circuit.root]
+    # one log walk per chunk of assignments, about 2**20 node values live
+    chunk = max(1, 2**20 // len(circuit.topo()))
+    log_coef = np.empty(n)
+    for lo in range(0, n, chunk):
+        flat = np.arange(lo, min(n, lo + chunk))
+        states = np.unravel_index(flat, sizes)
+        onehot = {
+            v: np.equal.outer(np.arange(size), x) * 1.0
+            for v, size, x in zip(variables, sizes, states)
+        }
+        log_coef[flat] = _reference_upward_log(circuit, onehot)[circuit.root]
+    log_joint = log_coef.reshape(sizes)
     with np.errstate(divide="ignore"):
-        log_joint = np.log(coef)
         for axis, v in enumerate(variables):
             expand = [1] * len(sizes)
             expand[axis] = sizes[axis]

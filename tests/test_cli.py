@@ -967,3 +967,19 @@ def test_kkt_checks_report_the_worst_violation(capsys, files, monkeypatch, bad):
     else:
         assert pi["max_abs_error"] == pytest.approx(0.5 - 1e-12, abs=1e-15)
         assert mu["max_abs_error"] == 1.5
+
+
+def test_huge_leaf_state_gives_a_short_message(capsys, tmp_path):
+    from klbp import generators, spn
+
+    circuit, _ = generators.gen_spn(3)
+    doc = spn.circuit_to_json(circuit)
+    leaf = next(n for n in doc["nodes"] if n["kind"] == "leaf")
+    leaf["state"] = 1e308
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code = main(["spn", "validate", "--circuit", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"variable {leaf['var']!r} of leaf {leaf['id']!r} needs 1.000e+308 entries" in err
+    assert len(err) < 200

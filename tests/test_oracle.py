@@ -7,6 +7,8 @@ from klbp.oracle import (
     EqualCopies,
     ProductFamily,
     _Problem,
+    _descend,
+    _polish,
     finite_diff_grad,
     numeric_projection,
 )
@@ -264,3 +266,40 @@ def test_value_grad_matches_central_differences(family, metric, side):
     for point, grad in zip(points, grads):
         fd = finite_diff_grad(lambda u: float(problem.value_grad(u[None])[0][0]), point)
         assert np.abs(fd - grad).max() <= 1e-7 * max(1.0, np.abs(grad).max())
+
+
+@pytest.mark.parametrize("family", ["diagonal", "product", "copies"])
+def test_starts_do_not_affect_each_other(family):
+    # each start's polished solution from the batch is the one it reaches
+    # when run alone
+    rng = np.random.default_rng(101)
+    for seed in range(5):
+        if family == "diagonal":
+            shape = JointShape((3, 3), groups=((0, 1),))
+            problem = _Problem(ENTROPY, DiagonalFace(shape), rand_joint(rng, (3, 3)), "left")
+        elif family == "product":
+            q = rand_joint(rng, (2, 3, 2))
+            problem = _Problem(ENTROPY, ProductFamily(JointShape((2, 3, 2))), q, "right")
+        else:
+            tables = [rand_joint(rng, (4,)) for _ in range(3)]
+            problem = _Problem(ENTROPY, EqualCopies(3), tables, "left")
+        u0 = np.random.default_rng(seed).standard_normal((8, problem.dim))
+
+        def solutions(u0):
+            u, _ = _polish(problem, *_descend(problem, u0))
+            r = np.exp(problem.log_joint(u)[1])
+            return r / r.sum(axis=1, keepdims=True)
+
+        batch = solutions(u0)
+        for row in range(8):
+            alone = solutions(u0[row : row + 1])[0]
+            np.testing.assert_allclose(batch[row], alone, rtol=0, atol=1e-12)
+
+
+def test_descent_cap_raises(monkeypatch):
+    from klbp import oracle
+
+    monkeypatch.setattr(oracle, "MAX_DESCENT_STEPS", 2)
+    q = rand_joint(np.random.default_rng(103), (2, 3))
+    with pytest.raises(ValidationError, match="did not converge within 2 steps"):
+        numeric_projection(ENTROPY, ProductFamily(JointShape((2, 3))), q, "right")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -738,3 +739,19 @@ def test_leaf_state_is_capped_when_the_circuit_is_built():
     root = SpnNode("s", "sum", children=("a0", "big"), weights=(0.5, 0.5))
     with pytest.raises(BudgetError, match=r"variable 'A' of leaf 'big' needs 1000000001 entries"):
         SpnCircuit([*leaves, root], "s")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_enumeration_is_gauge_free_under_tiny_weights(seed):
+    # every term of a generated circuit passes the same number of sums, so
+    # scaling each sum weight by 1e-200 scales every c(x) alike and leaves
+    # the marginals as they were; in logs no coefficient underflows to zero
+    c, e = gen_spn(seed)
+    scaled = SpnCircuit(
+        [dataclasses.replace(n, weights=tuple(w * 1e-200 for w in n.weights)) for n in c.nodes],
+        c.root,
+    )
+    want = enumerate_spn_marginals(c, e)
+    got = enumerate_spn_marginals(scaled, e)
+    for var in c.variable_order():
+        np.testing.assert_allclose(got[var], want[var], rtol=0, atol=1e-12)
