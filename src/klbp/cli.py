@@ -277,8 +277,9 @@ def cmd_spn_gates(args):
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
     gates = spn.gate_report(circuit, S, D)
-    norm_gap = worst_error(abs(float(g["b"].sum()) - 1.0) for g in gates.values())
-    glob_gap = worst_error(np.abs(g["global"] - g["pi"] * g["b"]).max() for g in gates.values())
+    local = [g for g in gates.values() if g["b"] is not None]  # sums with S(s) > 0
+    norm_gap = worst_error(abs(float(g["b"].sum()) - 1.0) for g in local)
+    glob_gap = worst_error(np.abs(g["global"] - g["pi"] * g["b"]).max() for g in local)
     checks = {
         "local_normalization": _check(norm_gap, 1e-12),
         "global_factorization": _check(glob_gap, 1e-12),
@@ -295,10 +296,9 @@ def cmd_spn_kkt(args):
     S = spn.upward_pass(circuit, evidence)
     D = spn.downward_pass(circuit, S)
     kkt = spn.kkt_multipliers(circuit, S, D)  # verifies its identities
-    pi = np.fromiter(kkt["pi"].values(), float)
-    mu = np.fromiter(kkt["mu"].values(), float)
-    pi_ok = all(0.0 < v <= 1.0 + 1e-12 for v in pi)
-    mu_ok = all(v > 0.0 for v in mu)
+    pi, mu = kkt["pi"].array, kkt["mu"].array
+    pi_ok = bool(np.all((0.0 < pi) & (pi <= 1.0 + 1e-12)))
+    mu_ok = bool(np.all(mu > 0.0))
     # the worst distance outside (0, 1 + 1e-12] and (0, inf); NaN stays NaN
     pi_out = worst_error(np.maximum(0.0, np.maximum(-pi, pi - (1.0 + 1e-12))))
     mu_out = worst_error(np.maximum(0.0, -mu))

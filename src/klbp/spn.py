@@ -31,7 +31,9 @@ the passes read, with no copy and no per-variable check; evidence in any
 other layout is checked and gathered into schedule order.  ``ValueMap`` and
 ``AdjointMap`` hold only a pass's arrays, read through read-only mappings
 keyed by node id or by (parent id, child position); readouts refuse a map
-from another circuit.
+from another circuit.  The gate and multiplier readouts are mappings over
+their arrays too, keyed through indexes the schedule compiles once: a gate
+dict is built on first access, and the multiplier views write through.
 """
 
 from __future__ import annotations
@@ -434,14 +436,26 @@ class _Schedule:
             [row[c] for children in self.sum_children for c in children], dtype=np.intp
         )
         self.sum_edge_weights = np.array([w for nid in self.sum_ids for w in by_id[nid].weights])
-        self.product_edge_keys = sorted(
-            edge for edge in self.edge_rows if by_id[edge[0]].kind == "product"
-        )
+        self.sum_index = {nid: i for i, nid in enumerate(self.sum_ids)}
+        product_ids = sorted(n.id for n in circuit.nodes if n.kind == "product")
+        fanins = np.array([len(by_id[nid].children) for nid in product_ids], dtype=np.intp)
+        self.product_edge_keys = [
+            (nid, pos) for nid, k in zip(product_ids, fanins) for pos in range(k)
+        ]
+        self.product_edge_index = {edge: i for i, edge in enumerate(self.product_edge_keys)}
         self.product_edge_rows = np.array(
             [self.edge_rows[edge] for edge in self.product_edge_keys], dtype=np.intp
         )
-        self.product_edge_parents = np.array(
-            [row[nid] for nid, _ in self.product_edge_keys], dtype=np.intp
+        self.product_edge_parents = np.repeat(
+            np.array([row[nid] for nid in product_ids], dtype=np.intp), fanins
+        )
+        # every product's child rows, padded with the unit row; the product
+        # edges, in key order, are the unpadded entries in row-major order
+        self.product_children = _padded(
+            [[row[c] for c in by_id[nid].children] for nid in product_ids], self.unit
+        )
+        self.product_edge_flat = np.flatnonzero(
+            np.arange(self.product_children.shape[1]) < fanins[:, None]
         )
 
     # ------------------------------------------------------------ passes
@@ -538,20 +552,28 @@ def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
 
 
 class _Column(Mapping):
-    """Read-only view of a pass array's first column, keyed like ``rows``."""
+    """Keyed view of a 1-D array: ``index`` maps each key to its entry and
+    iterates in key order.  Reads return floats.  A write goes through to
+    the array, so the view of a pass result, whose arrays are not
+    writeable, refuses it."""
 
-    def __init__(self, rows: dict, A: Array):
-        self._rows = rows
-        self._A = A
+    def __init__(self, index: dict, array: Array):
+        self._index = index
+        self.array = array
 
     def __getitem__(self, key) -> float:
-        return float(self._A[self._rows[key], 0])
+        return float(self.array[self._index[key]])
+
+    def __setitem__(self, key, value) -> None:
+        if not self.array.flags.writeable:
+            raise TypeError("pass results are read-only")
+        self.array[self._index[key]] = value
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,7 +585,7 @@ class ValueMap:
 
     @property
     def values(self) -> Mapping:
-        return _Column(self.sched.node_rows, self.S)
+        return _Column(self.sched.node_rows, self.S[:, 0])
 
     def root_value(self, circuit: SpnCircuit) -> float:
         return self.values[circuit.root]
@@ -579,11 +601,11 @@ class AdjointMap:
 
     @property
     def values(self) -> Mapping:
-        return _Column(self.sched.node_rows, self.D)
+        return _Column(self.sched.node_rows, self.D[:, 0])
 
     @property
     def edges(self) -> Mapping:
-        return _Column(self.sched.edge_rows, self.E)
+        return _Column(self.sched.edge_rows, self.E[:, 0])
 
 
 def _schedule_for(circuit: SpnCircuit, *maps) -> _Schedule:
@@ -625,7 +647,8 @@ def upward_pass_log(circuit: SpnCircuit, e: Evidence, *, check: bool = True) -> 
     L = sched.up_log(_evidence_column(circuit, e))
     if L[sched.root, 0] == -math.inf:
         raise ValidationError("evidence has empty support: root value is zero")
-    return _Column(sched.node_rows, L)
+    L.flags.writeable = False
+    return _Column(sched.node_rows, L[:, 0])
 
 
 def downward_pass(circuit: SpnCircuit, S: ValueMap) -> AdjointMap:
@@ -710,23 +733,54 @@ def euler_residuals(circuit: SpnCircuit, e: Evidence, S: ValueMap, D: AdjointMap
     return dict(zip(sched.variables, (np.abs(totals - root) / abs(root)).tolist()))
 
 
-def gate_report(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
-    """Per-sum gate posteriors: local b_s, visit probability pi, global gate."""
+class _Gates(Mapping):
+    """Per-sum gates over the readout arrays, keyed by sum id.  A sum's dict
+    is built from its slices on first access and kept, so later reads return
+    the same object."""
+
+    def __init__(self, sched: _Schedule, local: Array, glob: Array, pi: Array, live: Array):
+        self._sched = sched
+        self._local, self._glob, self._pi, self._live = local, glob, pi, live
+        self._built: dict = {}
+
+    def __getitem__(self, nid) -> dict:
+        gate = self._built.get(nid)
+        if gate is None:
+            sched = self._sched
+            i = sched.sum_index[nid]
+            a, b = sched.sum_cuts[i], sched.sum_cuts[i + 1]
+            gate = self._built[nid] = {
+                "children": sched.sum_children[i],
+                "b": self._local[a:b] if self._live[i] else None,
+                "pi": float(self._pi[i]),
+                "global": self._glob[a:b],
+            }
+        return gate
+
+    def __iter__(self):
+        return iter(self._sched.sum_ids)
+
+    def __len__(self) -> int:
+        return len(self._sched.sum_ids)
+
+
+def gate_report(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> Mapping:
+    """Per-sum gate posteriors: local b_s, visit probability pi, global gate.
+
+    A sum with value zero has no local gate: its ``b`` is None, and its pi
+    and global gate are 0.
+    """
     sched = _schedule_for(circuit, S, D)
     Sa, Da = S.S[:, 0], D.D[:, 0]
     root = Sa[sched.root]
     parents, w = sched.sum_edge_parents, sched.sum_edge_weights
     child_values = Sa[sched.sum_edge_children]
-    local = w * child_values / Sa[parents]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only at the zero sums
+        local = w * child_values / Sa[parents]
     glob = Da[parents] * w * child_values / root
-    pi = (Da[sched.sum_rows] * Sa[sched.sum_rows] / root).tolist()
-    cuts = sched.sum_cuts
-    return {
-        nid: {"children": children, "b": local[a:b], "pi": p, "global": glob[a:b]}
-        for nid, children, p, a, b in zip(
-            sched.sum_ids, sched.sum_children, pi, cuts, cuts[1:]
-        )
-    }
+    Ss = Sa[sched.sum_rows]
+    pi = Da[sched.sum_rows] * Ss / root
+    return _Gates(sched, local, glob, pi, Ss > 0.0)
 
 
 def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
@@ -735,12 +789,13 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     Verifies the defining identities through two floating routes before
     returning: pi(s) must equal D(s) S(s)/S(e) recomputed directly, and
     each product-edge multiplier must equal its retained edge adjoint over
-    S(e).
+    S(e).  ``pi`` is keyed by sum id and ``mu`` by (product id, child
+    position), both views over the arrays.
     """
     sched = _schedule_for(circuit, S, D)
-    Sa, Da, Ea = S.S, D.D, D.E
-    root = Sa[sched.root, 0]
-    Ds, Ss = Da[sched.sum_rows, 0], Sa[sched.sum_rows, 0]
+    Sa, Da = S.S[:, 0], D.D[:, 0]
+    root = Sa[sched.root]
+    Ds, Ss = Da[sched.sum_rows], Sa[sched.sum_rows]
     pi = Ds * Ss / root
     alt = (Ds / root) * Ss
     bad = np.abs(pi - alt) > 1e-12 * np.maximum(1.0, np.abs(pi))
@@ -748,24 +803,17 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
         nid = sched.sum_ids[int(np.argmax(bad))]
         raise ValidationError(f"visit-probability identity failed at {nid!r}")
 
-    siblings = np.zeros(sched.width + 1)
-    for g in sched.groups[1:]:
-        if g.kind == "product":
-            m, k = g.children.shape
-            siblings[g.edges : g.edges + m * k] = _sibling_products(
-                Sa[g.children]
-            ).ravel()
-    rows = sched.product_edge_rows
-    direct = Ea[rows, 0] / root
-    alt = Da[sched.product_edge_parents, 0] * siblings[rows] / root
+    siblings = _sibling_products(Sa[sched.product_children]).ravel()[sched.product_edge_flat]
+    direct = D.E[sched.product_edge_rows, 0] / root
+    alt = Da[sched.product_edge_parents] * siblings / root
     bad = np.abs(direct - alt) > 1e-12 * np.maximum(1.0, np.abs(direct))
     if bad.any():
         nid, pos = sched.product_edge_keys[int(np.argmax(bad))]
         c = circuit.node(nid).children[pos]
         raise ValidationError(f"edge-multiplier identity failed at {nid!r} child {c!r}")
     return {
-        "pi": dict(zip(sched.sum_ids, pi.tolist())),
-        "mu": dict(zip(sched.product_edge_keys, direct.tolist())),
+        "pi": _Column(sched.sum_index, pi),
+        "mu": _Column(sched.product_edge_index, direct),
     }
 
 

@@ -260,6 +260,38 @@ class TestSpnCommands:
         assert code == 0
         assert rep["outputs"]["pi"]["r"] == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gates_report_no_local_gate_at_a_zero_valued_sum(self, capsys, tmp_path):
+        def leaf(nid, var, state):
+            return {"id": nid, "kind": "leaf", "var": var, "state": state}
+
+        def node(nid, kind, *children):
+            kids = [dict(zip(("id", "weight"), c)) for c in children]
+            return {"id": nid, "kind": kind, "children": kids}
+
+        circuit = tmp_path / "c.json"
+        circuit.write_text(json.dumps({"root": "r", "nodes": [
+            node("r", "sum", ("p1", 0.4), ("p2", 0.6)),
+            node("p1", "product", ("s1",), ("s3",)),
+            node("p2", "product", ("s2",), ("s3",)),
+            node("s1", "sum", ("a0", 1.0)),
+            node("s2", "sum", ("a1", 1.0)),
+            node("s3", "sum", ("b0", 0.3), ("b1", 0.7)),
+            leaf("a0", "X0", 0), leaf("a1", "X0", 1), leaf("b0", "X1", 0), leaf("b1", "X1", 1),
+        ]}))
+        evidence = tmp_path / "e.json"
+        evidence.write_text(json.dumps({"lambda": {"X0": [1, 0], "X1": [0.5, 0.5]}}))
+        code, rep = run_cli(
+            capsys, "spn", "gates", "--circuit", str(circuit), "--evidence", str(evidence)
+        )
+        assert code == 0 and rep["pass"]
+        gates = rep["outputs"]["gates"]
+        assert gates["s2"] == {"b": None, "children": ["a1"], "global": [0.0], "pi": 0.0}
+        assert gates["s3"]["b"] == pytest.approx([0.3, 0.7], abs=1e-15)
+        checks = rep["checks"]
+        assert checks["local_normalization"]["max_abs_error"] <= 1e-12
+        assert checks["global_factorization"]["max_abs_error"] <= 1e-12
+
     def test_region_matches_engine(self, capsys, files):
         code, rep = run_cli(
             capsys, "spn", "region",
@@ -863,9 +895,10 @@ def test_worst_error_keeps_a_nan_wherever_it_comes():
 
 
 class TestReportPlumbing:
-    def test_byte_stable_reports(self, files):
+    @pytest.mark.parametrize("command", ["marginals", "gates", "kkt"])
+    def test_byte_stable_reports(self, files, command):
         cmd = [
-            sys.executable, "-m", "klbp.cli", "spn", "marginals",
+            sys.executable, "-m", "klbp.cli", "spn", command,
             "--circuit", files["circuit"], "--evidence", files["lambda"],
         ]
         a = subprocess.run(cmd, capture_output=True, check=True).stdout
@@ -951,8 +984,8 @@ def test_kkt_checks_report_the_worst_violation(capsys, files, monkeypatch, bad):
 
     def spoiled(*args):
         kkt = real(*args)
-        kkt["pi"] = {**kkt["pi"], "r": bad}
-        kkt["mu"] = {**kkt["mu"], next(iter(kkt["mu"])): -bad}
+        kkt["pi"]["r"] = bad  # the views write through to the arrays the checks read
+        kkt["mu"][next(iter(kkt["mu"]))] = -bad
         return kkt
 
     monkeypatch.setattr(spn, "kkt_multipliers", spoiled)

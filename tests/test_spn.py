@@ -313,10 +313,10 @@ class TestEvidence:
             Evidence({**e.lam, "extra": [1.0]}),
         ]
         S, D = run_passes(c, e)
-        want = [S.S, D.D, D.E, upward_pass_log(c, e)._A, *marginal_arrays(c, e, S, D).values()]
+        want = [S.S, D.D, D.E, upward_pass_log(c, e).array, *marginal_arrays(c, e, S, D).values()]
         for other in variants:
             S2, D2 = run_passes(c, other)
-            got = [S2.S, D2.D, D2.E, upward_pass_log(c, other)._A]
+            got = [S2.S, D2.D, D2.E, upward_pass_log(c, other).array]
             got += marginal_arrays(c, other, S2, D2).values()
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -530,6 +530,47 @@ class TestGatesAndMultipliers:
             S, D = run_passes(c, e)
             kkt = kkt_multipliers(c, S, D)  # raises if identities fail
             assert all(0.0 < v <= 1.0 + 1e-12 for v in kkt["pi"].values())
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_readout_views_equal_a_per_node_reference(self, shared):
+        # the readouts' formulas node by node, from the pass results' own views
+        for seed in range(100):
+            c, e = gen_spn(seed, shared=shared)
+            S, D = run_passes(c, e)
+            Sv, Dv, root = S.values, D.values, S.root_value(c)
+            gates, kkt = gate_report(c, S, D), kkt_multipliers(c, S, D)
+            sums = sorted(n.id for n in c.nodes if n.kind == "sum")
+            assert list(gates) == list(kkt["pi"]) == sums
+            for nid in sums:
+                n, gate = c.node(nid), gates[nid]
+                w, kids = np.array(n.weights), np.array([Sv[k] for k in n.children])
+                b = w * kids / Sv[nid] if Sv[nid] > 0.0 else None
+                assert gate["children"] == n.children
+                assert (gate["b"] is None) if b is None else gate["b"].tobytes() == b.tobytes()
+                assert gate["global"].tobytes() == (Dv[nid] * w * kids / root).tobytes()
+                pi = Dv[nid] * Sv[nid] / root
+                assert np.float64(gate["pi"]).tobytes() == np.float64(pi).tobytes()
+                assert np.float64(kkt["pi"][nid]).tobytes() == np.float64(pi).tobytes()
+            products = sorted(n.id for n in c.nodes if n.kind == "product")
+            edges = [(p, pos) for p in products for pos in range(len(c.node(p).children))]
+            assert list(kkt["mu"]) == edges
+            mu = np.array([D.edges[edge] / root for edge in edges])
+            assert np.array(list(kkt["mu"].values())).tobytes() == mu.tobytes()
+
+    def test_readout_views_keep_dicts_write_through_and_reject_unknown_keys(self):
+        c = two_component_circuit()
+        S, D = run_passes(c, soft_evidence())
+        gates, kkt = gate_report(c, S, D), kkt_multipliers(c, S, D)
+        assert gates["r"] is gates["r"] is next(iter(gates.values()))
+        kkt["pi"]["r"] = 1.5
+        assert kkt["pi"]["r"] == 1.5 and kkt["pi"].array[0] == 1.5
+        kkt["mu"]["P1", 0] = -2.0
+        assert kkt["mu"].array[0] == -2.0
+        with pytest.raises(TypeError):
+            S.values["r"] = 1.0
+        for view in (gates, kkt["pi"], kkt["mu"], S.values, D.edges):
+            with pytest.raises(KeyError):
+                view["nope"]
 
     def test_identity_check_catches_corruption(self):
         c = two_component_circuit()
