@@ -16,6 +16,8 @@ number.
 import math
 import operator
 
+import numpy as np
+
 
 class SchemaError(ValueError):
     """Serialized input does not match the expected schema."""
@@ -32,7 +34,10 @@ class BudgetError(RuntimeError):
 def worst_error(errors) -> float:
     """The largest of ``errors`` (0.0 when there are none), or NaN when any
     is NaN.  Python's ``max`` keeps its running value against a NaN, so it
-    would drop every NaN that does not come first."""
+    would drop every NaN that does not come first.  An ndarray is one
+    reduction, whose -0.0 (numpy's maximum of 0.0 and -0.0) reads 0.0."""
+    if isinstance(errors, np.ndarray):
+        return float(np.max(errors, initial=0.0)) + 0.0
     worst = 0.0
     for error in errors:
         error = float(error)

@@ -9,10 +9,18 @@ damping for graphs with cycles, and an exact two-pass schedule for forests.
 A graph is compiled once, on first use, into an edge layout shared by every
 pass and by the replica lift (``klbp.lift``).  Edge e is the e-th pair of
 ``edges()``, so each factor owns a contiguous block of edges, and a message
-state is two flat arrays (one per direction) in which edge e owns one slot
-per state of its variable.  The parts only belief propagation reads are
-compiled on its first call, so the lift never builds them:
+state is one flat buffer with two halves, to-variable messages first and
+to-factor messages second, in each of which edge e owns one slot per state
+of its variable.  Message k of a buffer is edge k's to-variable message,
+or for k >= E (the edge count) edge k - E's to-factor one.  The parts only
+belief propagation reads are compiled on its first call, so the lift never
+builds them:
 
+- one normalization kernel: per slot of a buffer, its message, and per
+  belief row, its variable.  Each message (or belief) total is one
+  bincount over that index, one test finds the first that is not finite
+  and positive, and one gather of the totals divides.  A sweep normalizes
+  both halves in one call, and so does the damping step.
 - factor groups: the factors of one table shape, their tables stacked on a
   batch axis and, per position, a matrix of their message slots.  One
   kernel sends a group's messages: per position, one einsum in numpy's
@@ -21,14 +29,16 @@ compiled on its first call, so the lift never builds them:
   first cardinality-1 axis when there is one, so a factor may use all 52
   axis numbers numpy allows; a wider factor is a ValidationError.
 - variable groups: flat index arrays of incoming slots, each slot tagged
-  with its (variable, state) row.  One kernel sends a group's messages: one
-  log of the slots, one bincount per row of the finite logs and one of the
-  zeros, and each message is exp(row total - own log), O(degree) per
-  variable.  The zero counts decide which states are exactly 0, and each
-  message's maximum (one reduceat over the message cuts) is subtracted
-  before the exp, so hard zeros stay exact and nothing underflows.  The
-  flooding sweep runs one group that holds every variable, and the beliefs
-  read its row totals.
+  with its (variable, state) row and its outgoing message.  One kernel
+  sends a group's messages: one log of the slots, one bincount per row of
+  the finite logs and one of the zeros, and each message is
+  exp(row total - own log), O(degree) per variable.  The zero counts
+  decide which states are exactly 0, and each message's maximum (one
+  maximum.reduceat over the message cuts, gathered back through the
+  slots' message index) is subtracted before the exp, so hard zeros stay
+  exact and nothing underflows.  The index arrays come from one stable
+  argsort of the edges by variable.  The flooding sweep runs one group
+  that holds every variable, and the beliefs read its row totals.
 - levels: the two-pass schedule for forests.  The variables of one depth
   form one group, and the factors of one depth and table shape another, so
   the upward pass is one step per level, deepest first, and the downward
@@ -36,14 +46,15 @@ compiled on its first call, so the lift never builds them:
   depths, the component count and the forest test; it runs on first use,
   so loopy BP never walks the graph.
 
-The flooding sweep and the two-pass schedule run the same two kernels,
-one per group kind.
+The flooding sweep and the two-pass schedule run the same two message
+kernels, one per group kind, and the same normalization kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,6 +157,13 @@ class FactorGraph:
         return self._layout.forest
 
 
+def _cuts(counts: Array) -> Array:
+    """0 and the running totals of ``counts``."""
+    cuts = np.zeros(len(counts) + 1, np.intp)
+    np.add.accumulate(counts, out=cuts[1:])
+    return cuts
+
+
 # numpy numbers the axes of a sublist einsum 0..51
 _EINSUM_AXES = 52
 
@@ -153,9 +171,10 @@ _EINSUM_AXES = 52
 class _Layout:
     """The compiled edge layout of one factor graph (see the module docstring).
 
-    Edge e owns slots ``off[e]:off[e + 1]`` of a message array, variable i
-    rows ``var_off[i]:var_off[i + 1]`` of a belief array.  Nodes are
-    variables, then factors; ``around[n]`` lists node n's edges in order.
+    Edge e owns slots ``off[e]:off[e + 1]`` of each half of a message
+    buffer, variable i rows ``var_off[i]:var_off[i + 1]`` of a belief array.
+    Nodes are variables, then factors; ``around[n]`` lists node n's edges in
+    order.
     """
 
     def __init__(self, fg: FactorGraph):
@@ -177,6 +196,26 @@ class _Layout:
             self.around[i].append(e)
         blocks = [0, *itertools.accumulate(len(f.vars) for f in fg.factors)]
         self.around += map(range, blocks, blocks[1:])
+
+    @cached_property
+    def message_of_slot(self) -> Array:
+        """Per slot of a message buffer, its message (see the module docstring)."""
+        lens = self.off[1:] - self.off[:-1]
+        return np.arange(2 * len(lens)).repeat(np.concatenate((lens, lens)))
+
+    @cached_property
+    def message_cuts(self) -> Array:
+        """The first slot of each message of a buffer."""
+        return np.concatenate((self.off[:-1], self.off[:-1] + self.off[-1]))
+
+    @cached_property
+    def var_of_row(self) -> Array:
+        """Per row of a belief array, its variable."""
+        return np.repeat(np.arange(self.n_vars), self.cards)
+
+    def message_name(self, k: int) -> str:
+        n = len(self.edges)
+        return (_TO_FACTOR if k >= n else _TO_VAR).format(self.edges[k % n])
 
     @cached_property
     def order(self) -> list[tuple[int, int]]:
@@ -250,31 +289,42 @@ class _Layout:
         steps.sort(key=lambda step: step[0])
         return [group for _, group in reversed(steps)] + [group for d, group in steps if d]
 
+    @cached_property
+    def by_var(self) -> tuple[Array, Array]:
+        """The edges sorted stably by variable, so each variable's edges form
+        one run in order, and where each variable's run starts."""
+        edge_var = np.fromiter(self.edge_var, np.intp, len(self.edge_var))
+        degree = np.bincount(edge_var, minlength=self.n_vars)
+        return np.argsort(edge_var, kind="stable"), _cuts(degree)
+
     def _var_groups(self, members: list[list[int]]) -> list["_VarGroup"]:
         """One group per list of variables, each variable's edges in one run.
 
-        One pass over the variables lists each edge's first position in the
-        groups' concatenation and its variable's first row in its group;
-        every slot and row index then comes from one repeat.
+        Cumulative sums of the degrees and cardinalities place each edge's
+        run in ``by_var``, its first slot in the groups' concatenation and
+        its variable's first row in its group, and every slot and row index
+        then comes from one repeat.
         """
-        edges, starts, first_row, lens, bounds = [], [], [], [], [(0, 0, 0)]
-        for vs in members:
-            k0, n_rows = bounds[-1][1], 0
-            for i in vs:
-                card, deg = self.cards[i], len(self.around[i])
-                edges += self.around[i]
-                starts += range(k0, k0 + card * deg, card)
-                first_row += [n_rows] * deg
-                lens += [card] * deg
-                k0 += card * deg
-                n_rows += card
-            bounds.append((len(edges), k0, n_rows))
-        edge, start, row, lens = np.array([edges, starts, first_row, lens], dtype=np.intp)
-        state = np.arange(bounds[-1][1]) - start.repeat(lens)
+        by_var, first = self.by_var
+        sizes = [len(vs) for vs in members]
+        var = np.fromiter(itertools.chain.from_iterable(members), np.intp, sum(sizes))
+        # var[m]'s edges are the deg[m] edges from first[var[m]] on in by_var
+        head, nxt = first[var], var + 1
+        deg, card = first[nxt] - head, self.var_off[nxt] - self.var_off[var]
+        var_cut, edge_cut, row_cut = _cuts(sizes), _cuts(deg), _cuts(card)
+        edge = by_var[np.arange(edge_cut[-1]) + (head - edge_cut[:-1]).repeat(deg)]
+        lens = card.repeat(deg)
+        slot_cut = _cuts(lens)
+        start = slot_cut[:-1]
+        row = (row_cut[:-1] - row_cut[var_cut[:-1]].repeat(sizes)).repeat(deg)
+        state = np.arange(slot_cut[-1]) - start.repeat(lens)
         slots, rows = self.off[edge].repeat(lens) + state, row.repeat(lens) + state
+        message = np.arange(len(edge)).repeat(lens)
+        group_edge = edge_cut[var_cut]
+        bounds = zip(group_edge.tolist(), slot_cut[group_edge].tolist(), row_cut[var_cut].tolist())
         return [
-            _VarGroup(slots[s0:s1], rows[s0:s1], n_rows, start[e0:e1] - s0, lens[e0:e1])
-            for (e0, s0, _), (e1, s1, n_rows) in zip(bounds, bounds[1:])
+            _VarGroup(slots[s0:s1], rows[s0:s1], r1 - r0, start[e0:e1] - s0, message[s0:s1] - e0)
+            for (e0, s0, r0), (e1, s1, r1) in itertools.pairwise(bounds)
         ]
 
     def _factor_group(self, js: list[int]) -> "_FactorGroup":
@@ -335,40 +385,58 @@ def require_positive_tables(fg: FactorGraph) -> None:
 # -------------------------------------------------------------- messages
 
 
-@dataclass(frozen=True, eq=False)
 class MessageState:
-    """Normalized messages in the graph's edge slots, one flat array per direction."""
+    """Normalized messages in the graph's edge slots: one flat buffer whose
+    first half ``to_var`` and second half ``to_factor`` are views.
 
-    to_var: Array
-    to_factor: Array
+    ``MessageState(to_var, to_factor)`` copies the two arrays into a new
+    buffer; the passes wrap a buffer they made with ``_of``.
+    """
+
+    __slots__ = ("buffer", "to_var", "to_factor")
+
+    def __init__(self, to_var: Array, to_factor: Array):
+        self._bind(np.concatenate((to_var, to_factor)))
+
+    @classmethod
+    def _of(cls, buffer: Array) -> "MessageState":
+        state = cls.__new__(cls)
+        state._bind(buffer)
+        return state
+
+    def _bind(self, buffer: Array) -> None:
+        half = len(buffer) // 2
+        self.buffer, self.to_var, self.to_factor = buffer, buffer[:half], buffer[half:]
 
 
 # how a failed message is named, from its edge (factor id, variable id)
-_TO_VAR = "{0[0]}->{0[1]}"
-_TO_FACTOR = "{0[1]}->{0[0]}"
+_TO_VAR = "message {0[0]}->{0[1]}"
+_TO_FACTOR = "message {0[1]}->{0[0]}"
 
 
-def _normalize(arr: Array, starts: Array, name: str, items) -> Array:
-    """Scale each segment ``arr[starts[k]:starts[k + 1]]`` to unit sum, in place.
+def _normalize(arr: Array, segment: Array, name: Callable[[int], str], first: int = 0) -> Array:
+    """Scale each segment of ``arr`` to unit sum, in place: slot i is in
+    segment ``segment[i]``, and every segment has a slot.
 
     A segment whose sum is +inf is a message that overflowed; one whose sum
     is zero, or NaN (log-domain products of disjoint supports), vanished.
-    The error names the first failed one, k, as ``name.format(items[k])``.
+    The error names the first failed segment k from segment ``first`` on,
+    wrapping round, as ``name(k)``.
     """
-    totals = np.add.reduceat(arr, starts[:-1])
+    totals = np.bincount(segment, arr)
     ok = np.isfinite(totals) & (totals > 0.0)
     if not ok.all():
-        k = int(np.argmin(ok))
+        k = (first + int(np.argmin(np.roll(ok, -first)))) % len(ok)
         fate = "overflowed" if totals[k] == np.inf else "vanished (contradictory constraints)"
-        raise ValidationError(f"message {name.format(items[k])} {fate}")
-    arr /= np.repeat(totals, starts[1:] - starts[:-1])
+        raise ValidationError(f"{name(k)} {fate}")
+    arr /= totals[segment]
     return arr
 
 
 def uniform_messages(fg: FactorGraph) -> MessageState:
     cards = fg._layout.edge_cards
     flat = 1.0 / np.repeat(cards, cards)
-    return MessageState(flat, flat.copy())
+    return MessageState(flat, flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,15 +470,15 @@ class _VarGroup:
     """Variables sending along all their edges, as flat index arrays.
 
     The group reads message slots ``slots``; slot k is in row ``rows[k]`` of
-    the group's ``n_rows`` (variable, state) rows, and the group's messages
-    are runs of ``lens[m]`` slots from ``cuts[m]``.
+    the group's ``n_rows`` (variable, state) rows and of the group's message
+    ``message[k]``; message m is the run of slots from ``cuts[m]``.
     """
 
     slots: Array
     rows: Array
     n_rows: int
     cuts: Array
-    lens: Array
+    message: Array
 
     def totals(self, to_var: Array) -> tuple[Array, Array, Array, Array]:
         """Per slot, the finite log-message (0 at a zero) and whether it is 0;
@@ -432,15 +500,17 @@ class _VarGroup:
         logs, zero, total, zeros = self.totals(src.to_var)
         others = total[self.rows] - logs
         others[zeros[self.rows] > zero] = -np.inf
-        others -= np.repeat(np.maximum.reduceat(others, self.cuts), self.lens)
+        others -= np.maximum.reduceat(others, self.cuts)[self.message]
         dst.to_factor[self.slots] = np.exp(others, out=others)
 
 
 def _damp(lay: _Layout, old: Array, fresh: Array, damping: float) -> Array:
     # geometric interpolation; a zero on either side stays zero
     mixed = damping * np.log(old) + (1.0 - damping) * np.log(fresh)
-    top = np.repeat(np.maximum.reduceat(mixed, lay.off[:-1]), lay.edge_cards)
-    return _normalize(np.exp(mixed - top), lay.off, "damped message", lay.edges)
+    mixed -= np.maximum.reduceat(mixed, lay.message_cuts)[lay.message_of_slot]
+    return _normalize(
+        np.exp(mixed, out=mixed), lay.message_of_slot, lambda k: f"damped {lay.message_name(k)}"
+    )
 
 
 def _check_damping(damping: float) -> None:
@@ -465,23 +535,19 @@ def bp_sweep(fg: FactorGraph, state: MessageState, *, damping: float = 0.0) -> M
     """
     _check_damping(damping)
     lay = fg._layout
-    new = MessageState(np.empty_like(state.to_var), np.empty_like(state.to_factor))
+    new = MessageState._of(np.empty_like(state.buffer))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for group in (*lay.factor_groups, lay.flood):
             group.propagate(state, new)
-        _normalize(new.to_var, lay.off, _TO_VAR, lay.edges)
-        _normalize(new.to_factor, lay.off, _TO_FACTOR, lay.edges)
+        _normalize(new.buffer, lay.message_of_slot, lay.message_name)
         if damping:
-            new = MessageState(
-                _damp(lay, state.to_var, new.to_var, damping),
-                _damp(lay, state.to_factor, new.to_factor, damping),
-            )
+            new = MessageState._of(_damp(lay, state.buffer, new.buffer, damping))
     return new
 
 
 def message_delta(a: MessageState, b: MessageState) -> float:
-    gaps = np.concatenate([a.to_var - b.to_var, a.to_factor - b.to_factor])
-    return float(np.max(np.abs(gaps), initial=0.0))
+    gaps = a.buffer - b.buffer
+    return float(np.max(np.abs(gaps, out=gaps), initial=0.0))
 
 
 def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
@@ -490,8 +556,10 @@ def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, _, total, zeros = lay.flood.totals(state.to_var)
         total = np.where(zeros > 0.0, -np.inf, total)
-        total -= np.repeat(np.maximum.reduceat(total, lay.var_off[:-1]), lay.cards)
-        out = _normalize(np.exp(total, out=total), lay.var_off, "belief of {0.id}", fg.variables)
+        total -= np.maximum.reduceat(total, lay.var_off[:-1])[lay.var_of_row]
+        out = _normalize(
+            np.exp(total, out=total), lay.var_of_row, lambda i: f"belief of {lay.ids[i]}"
+        )
     return {v.id: out[s] for v, s in zip(fg.variables, lay.var_slices)}
 
 
@@ -548,8 +616,7 @@ def bp_run_tree(fg: FactorGraph) -> MessageState:
         for group in lay.tree_steps:
             group.propagate(state, state)
         # contradicting factors meet at a variable, so its messages are checked first
-        _normalize(state.to_factor, lay.off, _TO_FACTOR, lay.edges)
-        _normalize(state.to_var, lay.off, _TO_VAR, lay.edges)
+        _normalize(state.buffer, lay.message_of_slot, lay.message_name, first=len(lay.edges))
     return state
 
 

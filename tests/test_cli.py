@@ -894,6 +894,17 @@ def test_worst_error_keeps_a_nan_wherever_it_comes():
     assert worst_error([]) == 0.0
 
 
+def test_worst_error_reduces_an_ndarray_as_it_reads_a_list():
+    assert math.isnan(worst_error(np.array([0.5, 2.0, np.nan, 1.0])))
+    assert worst_error(np.array([0.5, 2.0, 1.0])) == 2.0
+    for zeros in (np.array([-0.0]), np.array([-0.0, -1.0]), np.array([])):
+        worst = worst_error(zeros)
+        assert worst == 0.0 and math.copysign(1.0, worst) == 1.0
+        assert type(worst) is float
+    # numpy's own reduction gives -0.0, which a JSON report prints as "-0.0"
+    assert math.copysign(1.0, np.max(np.array([-0.0]), initial=0.0)) == -1.0
+
+
 class TestReportPlumbing:
     @pytest.mark.parametrize("command", ["marginals", "gates", "kkt"])
     def test_byte_stable_reports(self, files, command):

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from klbp.errors import SchemaError, ValidationError
 from klbp.factorgraph import (
     MessageState,
+    _Layout,
     Factor,
     FactorGraph,
     Variable,
@@ -312,6 +315,38 @@ def test_loopy_bp_names_the_first_vanished_message_in_edge_order():
             bp_run(fg, damping=damping)
 
 
+def test_a_damped_message_failure_names_its_edge():
+    fg = FactorGraph([Variable("a", 2)], [Factor("u", ("a",), [0.0, 1.0])])
+    # the old message has no state in common with the fresh one
+    state = MessageState(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    vanished = r"^damped message u->a vanished \(contradictory constraints\)$"
+    with pytest.raises(ValidationError, match=vanished):
+        bp_sweep(fg, state, damping=0.5)
+
+
+def test_a_sweep_names_the_factor_message_and_the_tree_the_variable_message():
+    # u and w on a allow no common state, and g's row a=0 is all zeros
+    fg = FactorGraph(
+        [Variable("a", 2), Variable("b", 2)],
+        [
+            Factor("u", ("a",), [1.0, 0.0]),
+            Factor("w", ("a",), [0.0, 1.0]),
+            Factor("g", ("a", "b"), [[0.0, 0.0], [1.0, 1.0]]),
+        ],
+    )
+    assert fg.is_forest()
+    # edges u-a, w-a, g-a, g-b; the sweep sends g->b = 0 from a->g = [1, 0]
+    # and a->g = 0 from u->a = [1, 0] and w->a = [0, 1]
+    to_var = np.array([1.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+    to_factor = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.5])
+    for damping in (0.0, 0.3):
+        with pytest.raises(ValidationError, match=r"^message g->b vanished"):
+            bp_sweep(fg, MessageState(to_var, to_factor), damping=damping)
+    # the two-pass schedule sends a->w = u->a g->a = 0, a->g = 0 and g->b = 0
+    with pytest.raises(ValidationError, match=r"^message a->w vanished"):
+        bp_run_tree(fg)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bp_names_an_overflowed_message():
     # u's message sums to 2e308: it overflowed, it did not vanish
@@ -435,6 +470,119 @@ def test_sweep_matches_the_reference_on_a_grid_with_a_hub_and_hard_zeros():
     assert len(fg.neighbors("hub")) == 65
     for damping in (0.0, 0.3):
         _assert_sweep_matches_reference(fg, damping, atol=1e-13)
+
+
+def reference_run(fg, tol=1e-10):
+    """``bp_run`` with the per-edge reference sweep."""
+    cards = [fg.cardinality(v) for _, v in fg.edges()]
+    flat = 1.0 / np.repeat(cards, cards)
+    state = MessageState(flat, flat)
+    for sweep in itertools.count(1):
+        new = reference_sweep(fg, state)
+        gaps = [np.abs(new.to_var - state.to_var), np.abs(new.to_factor - state.to_factor)]
+        state = new
+        if max(gap.max() for gap in gaps) <= tol:
+            return state, sweep
+
+
+def reference_beliefs(fg, state):
+    edges = fg.edges()
+    off = np.cumsum([0] + [fg.cardinality(v) for _, v in edges])
+    beliefs = {v.id: np.ones(v.cardinality) for v in fg.variables}
+    for e, (_, vid) in enumerate(edges):
+        beliefs[vid] = beliefs[vid] * state.to_var[off[e] : off[e + 1]]
+    return {vid: b / b.sum() for vid, b in beliefs.items()}
+
+
+def test_bp_run_matches_the_reference_run_on_generated_graphs():
+    # the engine and the reference sum in different orders: the bound is
+    # fixed in advance, a few units in the last place of a unit-sum vector
+    atol = 1e-14
+    for seed in range(200):
+        for kind in ("tree", "cycle"):
+            fg = gen_fg(seed, kind=kind)
+            result = bp_run(fg)
+            slow, sweeps = reference_run(fg)
+            assert result.converged and result.sweeps == sweeps, (seed, kind)
+            np.testing.assert_allclose(result.state.to_var, slow.to_var, rtol=0, atol=atol)
+            np.testing.assert_allclose(result.state.to_factor, slow.to_factor, rtol=0, atol=atol)
+            fast_b, slow_b = bp_beliefs(fg, result.state), reference_beliefs(fg, slow)
+            for vid in slow_b:
+                np.testing.assert_allclose(fast_b[vid], slow_b[vid], rtol=0, atol=atol)
+
+
+def test_a_hand_built_state_acts_as_a_buffer_backed_one():
+    fg = mixed_graph(np.random.default_rng(7), zeros=PLANTED_ZEROS[1])
+    state = bp_sweep(fg, bp_sweep(fg, uniform_messages(fg)))
+    hand = MessageState(state.to_var.copy(), state.to_factor.copy())
+    assert message_delta(hand, state) == 0.0
+    for damping in (0.0, 0.3):
+        fast, slow = bp_sweep(fg, state, damping=damping), bp_sweep(fg, hand, damping=damping)
+        np.testing.assert_array_equal(fast.to_var, slow.to_var)
+        np.testing.assert_array_equal(fast.to_factor, slow.to_factor)
+        assert message_delta(fast, state) == message_delta(slow, hand) > 0.0
+    for got, want in zip(bp_beliefs(fg, hand).values(), bp_beliefs(fg, state).values()):
+        np.testing.assert_array_equal(got, want)
+    # a sweep's result is new memory; its two halves are views of it
+    before = state.to_var.copy(), state.to_factor.copy()
+    new = bp_sweep(fg, state)
+    new.to_var[:] = 7.0
+    new.to_factor[:] = 7.0
+    np.testing.assert_array_equal(state.to_var, before[0])
+    np.testing.assert_array_equal(state.to_factor, before[1])
+    sevens = MessageState(np.full_like(new.to_var, 7.0), np.full_like(new.to_factor, 7.0))
+    assert message_delta(new, sevens) == 0.0
+
+
+def reference_var_groups(lay, members):
+    """The variable groups' index arrays, built one variable at a time."""
+    groups = []
+    for vs in members:
+        slots, rows, cuts, lens, n_rows = [], [], [], [], 0
+        for i in vs:
+            card = lay.cards[i]
+            for e in lay.around[i]:
+                cuts.append(len(slots))
+                lens.append(card)
+                slots += range(lay.off[e], lay.off[e] + card)
+                rows += range(n_rows, n_rows + card)
+            n_rows += card
+        groups.append((slots, rows, n_rows, cuts, lens))
+    return groups
+
+
+def test_variable_groups_match_a_per_variable_build(monkeypatch):
+    built = []  # (members, groups) of every build
+
+    def build(lay, members):
+        groups = compile_groups(lay, members)
+        built.append((members, groups))
+        return groups
+
+    compile_groups = _Layout._var_groups
+    monkeypatch.setattr(_Layout, "_var_groups", build)
+    variables, pairwise = builders.grid(3, 8)
+    graphs = [FactorGraph(variables, pairwise), mixed_graph(np.random.default_rng(0))]
+    graphs += [gen_fg(seed, kind="tree") for seed in range(20)]
+    graphs += [mixed_graph(np.random.default_rng(0), forest=True)]
+    for fg in graphs:
+        lay = fg._layout
+        built.clear()
+        assert lay.flood is built[0][1][0]
+        if fg.is_forest():
+            steps = {id(g) for g in lay.tree_steps}
+            assert {id(g) for g in built[-1][1]} <= steps
+        # members in any order, and a group of no variables
+        build(lay, [list(range(lay.n_vars))[::-2], [], list(range(lay.n_vars))[-2::-2]])
+        for members, groups in built:
+            want = reference_var_groups(lay, members)
+            assert len(groups) == len(want)
+            for group, (slots, rows, n_rows, cuts, lens) in zip(groups, want):
+                np.testing.assert_array_equal(group.slots, slots)
+                np.testing.assert_array_equal(group.rows, rows)
+                assert group.n_rows == n_rows
+                np.testing.assert_array_equal(group.cuts, cuts)
+                np.testing.assert_array_equal(group.message, np.repeat(np.arange(len(lens)), lens))
 
 
 def test_tree_bp_on_the_mixed_forest_matches_the_oracle():
