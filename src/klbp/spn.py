@@ -16,15 +16,21 @@ A circuit is immutable, so its validation report and its compiled form are
 built once, on first use, and shared by every pass.  The compiled form is a
 level schedule: nodes grouped by (level, kind), where a node's level is the
 longest path from it down to a leaf, so every child of a group sits in an
-earlier group.  Each group holds a padded child-index matrix with its
-linear and log weights; the leaves hold a gather from (variable, state) to
-an evidence slot.  The upward passes run one gather and one reduce per
-group, bottom-up; the downward pass runs top-down, gathering each node's
-adjoint from the edge adjoints that end at it and writing its own edge
-adjoints (sums: D times the weight; products: D times the product of the
-siblings, from prefix and suffix products).  All arrays are (rows, batch):
-a single query is a batch of one, and ``marginal_batch`` runs many evidence
-columns through the same two passes.  ``Evidence`` keeps one flat vector.
+earlier group.  Each group is stored position-major, as in layerized
+circuit engines: its child indexes are a (fan-in k, nodes m) matrix padded
+with a unit row, with linear and log weights of the same shape, and its
+edge adjoints are one (k, m) block, so every reduction over the children
+is k - 1 whole-row operations in child order.  The leaves hold a gather
+from (variable, state) to an evidence slot.  The upward passes run one
+gather and one reduce per group, bottom-up; the downward pass runs
+top-down, gathering each node's adjoint from the edge adjoints that end at
+it and writing its own edge adjoints (sums: D times the weight; products: D
+times the product of the siblings, from prefix and suffix products).  Node
+and edge arrays are (rows, batch): a single query is a batch of one, and
+``marginal_batch`` runs many evidence columns through the same two passes
+with the same arithmetic, so each column equals its single query bitwise.
+The linear passes fail closed when the root value overflows.
+``Evidence`` keeps one flat vector.
 When its layout (variable names and sizes, in order) is the schedule's own,
 as with variables in ``variable_order``, that vector is the evidence column
 the passes read, with no copy and no per-variable check; evidence in any
@@ -287,13 +293,15 @@ class Evidence:
         sizes = tuple(a.size for a in arrays[:n])
         cuts = [0, *itertools.accumulate(sizes)]
         flat = np.concatenate(arrays[:n]) if n else np.empty(0)
-        bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), cuts[:-1])
-        empty = ~np.logical_or.reduceat(flat > 0.0, cuts[:-1])
-        failed = np.flatnonzero(bad | empty)
-        if failed.size:
-            i = failed[0]
-            problem = "must be finite and nonnegative" if bad[i] else "has empty support"
-            raise ValidationError(f"evidence for {names[i]!r} {problem}")
+        # every entry positive and finite passes every check; NaN fails min() > 0
+        if not (flat.size and flat.min() > 0.0 and flat.max() < np.inf):
+            bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), cuts[:-1])
+            empty = ~np.logical_or.reduceat(flat > 0.0, cuts[:-1])
+            failed = np.flatnonzero(bad | empty)
+            if failed.size:
+                i = failed[0]
+                problem = "must be finite and nonnegative" if bad[i] else "has empty support"
+                raise ValidationError(f"evidence for {names[i]!r} {problem}")
         if n < len(names):
             raise ValidationError(f"evidence for {names[n]!r} must be a 1-d vector")
         flat.flags.writeable = False
@@ -335,26 +343,48 @@ def check_evidence(circuit: SpnCircuit, e: Evidence) -> None:
 
 @dataclass(eq=False)
 class _Group:
-    """Nodes of one (level, kind): rows ``a:b`` of the node arrays."""
+    """Nodes of one (level, kind): rows ``a:b`` of the node arrays.
+
+    Position-major: axis 0 is the child position and axis 1 the node, so a
+    reduction over the fan-in is k - 1 whole-row operations.  Positions
+    past a node's fan-in hold the unit row (weight 0).  The edge of node
+    ``i`` at position ``pos`` is edge row ``edges + pos * m + i``, so the
+    group's edge block is ``E[edges : edges + k * m]`` shaped (k, m, batch).
+    """
 
     kind: str
     a: int
     b: int
     slots: Array | None = None  # leaves: the evidence slot of each leaf
-    children: Array | None = None  # (m, k) child rows, padded with the unit row
-    weights: Array | None = None  # (m, k, 1) sum weights, padded with 0
+    children: Array | None = None  # (k, m) child rows, padded with the unit row
+    weights: Array | None = None  # sums: (k, m, 1) weights, padded with 0
     log_weights: Array | None = None
-    edges: int = 0  # first row of the group's m * k edge rows
-    incoming: Array | None = None  # edge rows ending at each node, padded: zero row
+    edges: int = 0  # first of the group's k * m edge rows
+    incoming: Array | None = None  # (parents, m) edge rows ending at each node, padded: zero row
 
 
-def _sibling_products(V: Array) -> Array:
-    """Product of the other entries along axis 1, from prefix and suffix
-    products: O(k) per node and no division, so exact zeros are fine."""
-    out = np.ones_like(V)
-    np.multiply.accumulate(V[:, :-1], axis=1, out=out[:, 1:])
-    out[:, :-1] *= np.multiply.accumulate(V[:, :0:-1], axis=1)[:, ::-1]
+def _sibling_products(V: Array, out: Array) -> Array:
+    """Product of the other entries along axis 0, from prefix and suffix
+    products, written to ``out``: O(k) per node and no division, so exact
+    zeros are fine."""
+    out[0] = 1.0
+    np.multiply.accumulate(V[:-1], axis=0, out=out[1:])
+    out[:-1] *= np.multiply.accumulate(V[:0:-1], axis=0)[::-1]
     return out
+
+
+def _columns(keys: Array, values: Array, n: int, pad) -> tuple[Array, Array]:
+    """Column j lists, in order, the ``values`` whose key is j, filled out
+    to the longest column with ``pad``: shape (longest, n).  Also returns
+    each value's flat index in that matrix."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys[order]]
+    where = rank * n + keys
+    out = np.full((counts.max(initial=0), n), pad, dtype=values.dtype)
+    out.reshape(-1)[where] = values
+    return out, where
 
 
 class _Schedule:
@@ -363,11 +393,15 @@ class _Schedule:
     Node arrays have one row per node -- leaves first, then one contiguous
     block per (level, kind), level being the longest path down to a leaf --
     plus a unit row (value 1, log 0, adjoint 0) that pads child matrices.
-    Edge arrays have one row per padded (node, child position) plus a zero
-    row.  Evidence is a column of ``n_slots`` entries, one per (variable,
-    state) in ``variable_order``; ``layout`` is that order with each
-    variable's cardinality, compared with an evidence's own.  The second
-    axis of every array is the batch axis; a single query is a batch of one.
+    Edge arrays have one row per padded (child position, node) of each
+    group, position-major, plus a zero row.  Every gather is laid out
+    position-major too (``_Group``), so each pass reduces over axis 0.
+    Evidence is a column of ``n_slots`` entries, one per (variable, state)
+    in ``variable_order``; ``layout`` is that order with each variable's
+    cardinality, compared with an evidence's own.  Pass arrays are (rows,
+    batch) and a group's gathers (k, m, batch); a single query is a batch
+    of one.  ``slot_leaves`` is (leaves per slot, n_slots), padded with the
+    unit row.
     """
 
     def __init__(self, circuit: SpnCircuit):
@@ -393,7 +427,8 @@ class _Schedule:
 
         self.groups: list[_Group] = []
         self.edge_rows: dict[tuple[str, int], int] = {}  # (parent id, child position)
-        incoming: list[list[int]] = [[] for _ in ids]
+        # every edge as (child row, edge row), by parent row then position
+        edge_children, edge_ids = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         width = 0
         for _, members in itertools.groupby(ids, key=lambda nid: key[nid][:2]):
             nodes = [by_id[nid] for nid in members]
@@ -403,28 +438,34 @@ class _Schedule:
             if kind == "leaf":
                 g.slots = np.array([first_slot[n.var] + n.state for n in nodes])
             else:
-                g.children = _padded([[row[c] for c in n.children] for n in nodes], self.unit)
-                k = g.children.shape[1]
-                g.weights = _padded([n.weights for n in nodes], 0.0, k)[:, :, None]
+                m = len(nodes)
+                owner = np.repeat(np.arange(m), [len(n.children) for n in nodes])
+                child_rows = np.array([row[c] for n in nodes for c in n.children])
+                g.children, where = _columns(owner, child_rows, m, self.unit)
+                if kind == "sum":
+                    weights = np.array([w for n in nodes for w in n.weights])
+                    g.weights = _columns(owner, weights, m, 0.0)[0][:, :, None]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        g.log_weights = np.log(g.weights)
                 g.edges = width
-                for i, n in enumerate(nodes):
-                    for pos, c in enumerate(n.children):
-                        incoming[row[c]].append(width + i * k + pos)
-                        self.edge_rows[n.id, pos] = width + i * k + pos
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    g.log_weights = np.log(g.weights)
-                width += len(nodes) * k
+                edge_children.append(child_rows)
+                edge_ids.append(width + where)
+                keys = [(n.id, pos) for n in nodes for pos in range(len(n.children))]
+                self.edge_rows.update(zip(keys, edge_ids[-1].tolist()))
+                width += g.children.size
             self.groups.append(g)
         self.width = width  # also the zero edge row
+        incoming, _ = _columns(
+            np.concatenate(edge_children), np.concatenate(edge_ids), self.unit, width
+        )
+        parents = np.count_nonzero(incoming != width, axis=0)
         for g in self.groups:
-            g.incoming = _padded(incoming[g.a : g.b], width)
+            g.incoming = incoming[: parents[g.a : g.b].max(initial=0), g.a : g.b].copy()
             if g.a <= self.root < g.b:
                 self.root_group = g
 
-        leaves_at = [[] for _ in range(self.n_slots)]
-        for r, s in enumerate(self.groups[0].slots):
-            leaves_at[s].append(r)
-        self.slot_leaves = _padded(leaves_at, self.unit)
+        leaves = self.groups[0]
+        self.slot_leaves, _ = _columns(leaves.slots, np.arange(leaves.b), self.n_slots, self.unit)
 
         # readout orders: sums by id, then their edges, product edges by (id, position)
         self.sum_ids = sorted(n.id for n in circuit.nodes if n.kind == "sum")
@@ -438,7 +479,7 @@ class _Schedule:
         self.sum_edge_weights = np.array([w for nid in self.sum_ids for w in by_id[nid].weights])
         self.sum_index = {nid: i for i, nid in enumerate(self.sum_ids)}
         product_ids = sorted(n.id for n in circuit.nodes if n.kind == "product")
-        fanins = np.array([len(by_id[nid].children) for nid in product_ids], dtype=np.intp)
+        fanins = [len(by_id[nid].children) for nid in product_ids]
         self.product_edge_keys = [
             (nid, pos) for nid, k in zip(product_ids, fanins) for pos in range(k)
         ]
@@ -449,30 +490,26 @@ class _Schedule:
         self.product_edge_parents = np.repeat(
             np.array([row[nid] for nid in product_ids], dtype=np.intp), fanins
         )
-        # every product's child rows, padded with the unit row; the product
-        # edges, in key order, are the unpadded entries in row-major order
-        self.product_children = _padded(
-            [[row[c] for c in by_id[nid].children] for nid in product_ids], self.unit
-        )
-        self.product_edge_flat = np.flatnonzero(
-            np.arange(self.product_children.shape[1]) < fanins[:, None]
-        )
 
     # ------------------------------------------------------------ passes
 
     def up(self, X: Array) -> Array:
-        """Node values for evidence columns ``X`` (slots x batch)."""
+        """Node values for evidence columns ``X`` (slots x batch).  Overflow
+        is left to the caller, which checks the root."""
         S = np.empty((self.unit + 1, X.shape[1]))
         S[self.unit] = 1.0
         leaves = self.groups[0]
-        np.take(X, leaves.slots, axis=0, out=S[: leaves.b])
-        for g in self.groups[1:]:
-            V = S[g.children]
-            if g.kind == "product":
-                np.multiply.reduce(V, axis=1, out=S[g.a : g.b])
-            else:
-                V *= g.weights
-                np.add.reduce(V, axis=1, out=S[g.a : g.b])
+        # the compiled indexes are in range; "clip" spares the buffered copy
+        # that the default mode makes for ``out``
+        np.take(X, leaves.slots, axis=0, out=S[: leaves.b], mode="clip")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in self.groups[1:]:
+                V = np.take(S, g.children, axis=0)
+                if g.kind == "product":
+                    np.multiply.reduce(V, axis=0, out=S[g.a : g.b])
+                else:
+                    V *= g.weights
+                    np.add.reduce(V, axis=0, out=S[g.a : g.b])
         return S
 
     def up_log(self, X: Array) -> Array:
@@ -481,18 +518,18 @@ class _Schedule:
         L[self.unit] = 0.0
         leaves = self.groups[0]
         with np.errstate(divide="ignore"):
-            np.log(X[leaves.slots], out=L[: leaves.b])
+            np.log(np.take(X, leaves.slots, axis=0), out=L[: leaves.b])
             for g in self.groups[1:]:
-                T = L[g.children]
+                T = np.take(L, g.children, axis=0)
                 if g.kind == "product":
-                    np.add.reduce(T, axis=1, out=L[g.a : g.b])
+                    np.add.reduce(T, axis=0, out=L[g.a : g.b])
                     continue
                 T += g.log_weights
-                top = T.max(axis=1)
+                top = T.max(axis=0)
                 top[top == -np.inf] = 0.0  # every term zero: the sum stays -inf
-                T -= top[:, None, :]
+                T -= top
                 np.exp(T, out=T)
-                total = T.sum(axis=1)
+                total = T.sum(axis=0)
                 np.log(total, out=total)
                 np.add(total, top, out=L[g.a : g.b])
         return L
@@ -510,31 +547,23 @@ class _Schedule:
         E[self.width] = 0.0
         for g in reversed(self.groups):
             Dg = D[g.a : g.b]
-            np.add.reduce(E[g.incoming], axis=1, out=Dg)
+            np.add.reduce(np.take(E, g.incoming, axis=0), axis=0, out=Dg)
             if g is self.root_group:
                 D[self.root] += 1.0
             if g.kind == "leaf":
                 continue
-            m, k = g.children.shape
-            block = E[g.edges : g.edges + m * k].reshape(m, k, batch)
+            k, m = g.children.shape
+            block = E[g.edges : g.edges + k * m].reshape(k, m, batch)
             if g.kind == "sum":
-                np.multiply(g.weights, Dg[:, None, :], out=block)
+                np.multiply(g.weights, Dg, out=block)
             else:
-                np.multiply(_sibling_products(S[g.children]), Dg[:, None, :], out=block)
+                V = np.take(S, g.children, axis=0)
+                np.multiply(_sibling_products(V, block), Dg, out=block)
         return D, E
 
     def lam_adjoints(self, D: Array) -> Array:
         """dS/dlambda per evidence slot: the adjoints of its leaves, summed."""
-        return D[self.slot_leaves].sum(axis=1)
-
-
-def _padded(lists: list, pad, width: int | None = None) -> Array:
-    """Rows of unequal length as one matrix, filled out with ``pad`` (whose
-    type sets the dtype)."""
-    if width is None:
-        width = max(map(len, lists), default=0)
-    rows = [[*items, *[pad] * (width - len(items))] for items in lists]
-    return np.array(rows, dtype=type(pad)).reshape(len(lists), width)
+        return np.take(D, self.slot_leaves, axis=0).sum(axis=0)
 
 
 def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
@@ -616,6 +645,15 @@ def _schedule_for(circuit: SpnCircuit, *maps) -> _Schedule:
     return sched
 
 
+def _overflow(sched: _Schedule, x: Array, where: str = "") -> ValidationError:
+    """The error for a linear pass whose root value overflowed at evidence
+    column ``x``.  It gives the log root, which the log pass still has."""
+    log_root = float(sched.up_log(x)[sched.root, 0])
+    return ValidationError(
+        f"{where}root value overflows the linear pass (log root value {log_root!r})"
+    )
+
+
 def upward_pass(
     circuit: SpnCircuit,
     e: Evidence,
@@ -632,7 +670,10 @@ def upward_pass(
     if check:
         require_valid(circuit)
     sched = circuit._schedule
-    S = sched.up(_evidence_column(circuit, e))
+    X = _evidence_column(circuit, e)
+    S = sched.up(X)
+    if not math.isfinite(S[sched.root, 0]):
+        raise _overflow(sched, X)
     if S[sched.root, 0] <= 0.0 and not allow_zero_root:
         raise ValidationError("evidence has empty support: root value is zero")
     S.flags.writeable = False
@@ -684,6 +725,10 @@ def marginal_batch(circuit: SpnCircuit, lam) -> Array:
     for lo in range(0, X.shape[1], step):
         Xc = X[:, lo : lo + step]
         S = sched.up(Xc)
+        bad = ~np.isfinite(S[sched.root])
+        if bad.any():
+            col = int(np.argmax(bad))
+            raise _overflow(sched, Xc[:, col : col + 1], f"evidence column {lo + col}: ")
         if np.any(S[sched.root] <= 0.0):
             raise ValidationError("evidence has empty support: root value is zero")
         D, _ = sched.down(S)
@@ -803,7 +848,12 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
         nid = sched.sum_ids[int(np.argmax(bad))]
         raise ValidationError(f"visit-probability identity failed at {nid!r}")
 
-    siblings = _sibling_products(Sa[sched.product_children]).ravel()[sched.product_edge_flat]
+    siblings = np.empty(sched.width)
+    for g in sched.groups:
+        if g.kind == "product":
+            block = siblings[g.edges : g.edges + g.children.size].reshape(g.children.shape)
+            _sibling_products(np.take(Sa, g.children), block)
+    siblings = siblings[sched.product_edge_rows]
     direct = D.E[sched.product_edge_rows, 0] / root
     alt = Da[sched.product_edge_parents] * siblings / root
     bad = np.abs(direct - alt) > 1e-12 * np.maximum(1.0, np.abs(direct))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1027,3 +1028,22 @@ def test_huge_leaf_state_gives_a_short_message(capsys, tmp_path):
     assert code == 3
     assert f"variable {leaf['var']!r} of leaf {leaf['id']!r} needs 1.000e+308 entries" in err
     assert len(err) < 200
+
+
+@pytest.mark.filterwarnings("error")
+def test_spn_eval_fails_closed_when_the_linear_pass_overflows(capsys, tmp_path):
+    prefix = str(tmp_path / "inst")
+    assert main(["gen", "spn", "--vars", "3", "--states", "2", "--seed", "1", "--out", prefix]) == 0
+    circuit, evidence = Path(prefix + ".circuit.json"), Path(prefix + ".evidence.json")
+    lam = json.loads(evidence.read_text())["lambda"]
+    evidence.write_text(json.dumps({"lambda": {v: [1e308] * len(x) for v, x in lam.items()}}))
+    capsys.readouterr()
+    code = main(["spn", "eval", "--circuit", str(circuit), "--evidence", str(evidence)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: validation failed: root value overflows the linear pass "
+        r"\(log root value 2128\.08\d+\)\n",
+        captured.err,
+    )

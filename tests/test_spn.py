@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -219,6 +220,8 @@ class TestEvidence:
             ({"A": [1.0], "B": [-1.0, 0.0], "C": [0.0]}, "'B' must be finite and nonnegative"),
             ({"A": [1.0], "B": [np.nan, 1.0]}, "'B' must be finite and nonnegative"),
             ({"A": [1.0], "B": [0.0], "C": [np.inf]}, "'B' has empty support"),
+            ({"A": [2.0], "B": [1.0, np.inf]}, "'B' must be finite and nonnegative"),
+            ({"A": [np.nan], "B": [-1.0]}, "'A' must be finite and nonnegative"),
         ],
     )
     def test_first_failing_variable_and_check_are_named(self, lam, message):
@@ -667,6 +670,45 @@ def _compiled_cases():
     yield c, Evidence({"X": [1.0, 0.0], "Y": [0.0, 1.0]})  # root value exactly 0
 
 
+def _ordered_reference(c, lam):
+    """Per-node values, adjoints and edge adjoints in a fixed arithmetic
+    order: a sum adds w * S(child) in child order; a product multiplies its
+    children in order, and an edge's sibling product is the prefix product
+    (from the first child on) times the suffix product (from the last child
+    back); a node's adjoint adds the edge adjoints ending at it by parent
+    row, then child position."""
+    S, D, E = {}, {}, {}
+    for nid in c.topo():
+        n = c.node(nid)
+        if n.kind == "leaf":
+            S[nid] = float(lam[n.var][n.state])
+        elif n.kind == "sum":
+            S[nid] = 0.0
+            for child, w in zip(n.children, n.weights):
+                S[nid] += w * S[child]
+        else:
+            S[nid] = S[n.children[0]]
+            for child in n.children[1:]:
+                S[nid] *= S[child]
+    rows = c._schedule.node_rows
+    incoming = {nid: [] for nid in rows}
+    for nid in sorted(rows, key=rows.__getitem__, reverse=True):
+        n = c.node(nid)
+        D[nid] = 0.0
+        for edge in sorted(incoming[nid], key=lambda ed: (rows[ed[0]], ed[1])):
+            D[nid] += E[edge]
+        if nid == c.root:
+            D[nid] += 1.0
+        values = [S[child] for child in n.children]
+        for pos, child in enumerate(n.children):
+            if n.kind == "sum":
+                E[nid, pos] = n.weights[pos] * D[nid]
+            else:
+                E[nid, pos] = math.prod(values[:pos]) * math.prod(values[:pos:-1]) * D[nid]
+            incoming[child].append((nid, pos))
+    return S, D, E
+
+
 def _assert_rel(got, ref, tol, what):
     assert got.keys() == ref.keys(), what
     for key, r in ref.items():
@@ -734,16 +776,41 @@ class TestCompiledPasses:
                 S = upward_pass(c, q)
                 D = downward_pass(c, S)
                 single = np.concatenate(list(marginal_arrays(c, q, S, D).values()))
-                np.testing.assert_allclose(M_all[:, col], single, rtol=1e-14, atol=0)
-                np.testing.assert_allclose(
-                    S_all[node_rows, col], list(S.values.values()), rtol=1e-14, atol=0
-                )
-                np.testing.assert_allclose(
-                    D_all[node_rows, col], list(D.values.values()), rtol=1e-14, atol=0
-                )
-                np.testing.assert_allclose(
-                    E_all[edge_rows, col], list(D.edges.values()), rtol=1e-14, atol=0
-                )
+                # every reduction runs over the child axis in order, whatever the batch
+                assert np.array_equal(M_all[:, col], single)
+                assert np.array_equal(S_all[node_rows, col], list(S.values.values()))
+                assert np.array_equal(D_all[node_rows, col], list(D.values.values()))
+                assert np.array_equal(E_all[edge_rows, col], list(D.edges.values()))
+
+    @pytest.mark.parametrize("kind", ["tree", "shared", "rat_spn"])
+    def test_passes_add_and_multiply_in_child_order(self, kind):
+        if kind == "rat_spn":  # fan-in 16 sums
+            cases = [_rat_spn_case()]
+        else:
+            cases = [gen_spn(seed, shared=kind == "shared") for seed in range(100)]
+        for c, e in cases:
+            S = upward_pass(c, e)
+            D = downward_pass(c, S)
+            ref_S, ref_D, ref_E = _ordered_reference(c, e.lam)
+            assert list(S.values.values()) == [ref_S[nid] for nid in S.values]
+            assert list(D.values.values()) == [ref_D[nid] for nid in D.values]
+            assert list(D.edges.values()) == [ref_E[edge] for edge in D.edges]
+
+    def test_linear_overflow_is_named_with_the_log_root(self):
+        c, _ = gen_spn(1, n_vars=3, states=2)
+        big = Evidence({v: np.full(c.cardinality(v), 1e308) for v in c.variable_order()})
+        log_root = upward_pass_log(c, big)[c.root]
+        assert math.isfinite(log_root) and log_root > 709.8  # exp(log_root) overflows
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError) as single:
+                upward_pass(c, big)
+            X = np.column_stack([_evidence_column(c, all_ones_evidence(c)), big._flat])
+            with pytest.raises(ValidationError) as batch:
+                marginal_batch(c, X)
+        assert str(single.value) == (
+            f"root value overflows the linear pass (log root value {log_root!r})"
+        )
+        assert str(batch.value) == f"evidence column 1: {single.value}"
 
     def test_batch_rejects_bad_columns(self):
         c = two_component_circuit()
