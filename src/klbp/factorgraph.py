@@ -6,39 +6,47 @@ the same variable twice.  Messages are kept normalized to unit sum.  Two
 drivers are provided: a synchronous flooding sweep with optional geometric
 damping for graphs with cycles, and an exact two-pass schedule for forests.
 
-A graph is compiled once, on first use, into an edge layout shared by every
-pass and by the replica lift (``klbp.lift``).  Edge e is the e-th pair of
-``edges()``, so each factor owns a contiguous block of edges, and a message
-state is one flat buffer with two halves, to-variable messages first and
-to-factor messages second, in each of which edge e owns one slot per state
-of its variable.  Message k of a buffer is edge k's to-variable message,
-or for k >= E (the edge count) edge k - E's to-factor one.  The parts only
+Construction lowers a graph, in one pass over its factors, to integer
+arrays (per edge its variable and table axis size, per factor its arity)
+and checks them with whole-array tests; the ordered per-factor checks run
+only to name the first fault.  The edge layout that every pass and the
+replica lift (``klbp.lift``) share derives from these arrays.  Edge e is
+the e-th pair of ``edges()``, so each factor owns a contiguous block of
+edges, and a message state is one flat buffer with two halves, to-variable
+messages first and to-factor messages second, in each of which edge e owns
+one slot per state of its variable.  Message k of a buffer is edge k's
+to-variable message, or for k >= E (the edge count) edge k - E's to-factor
+one.  The per-edge Python lists are built on first use, for the lift, the
+forest schedule and error messages; loopy BP builds none.  The parts only
 belief propagation reads are compiled on its first call, so the lift never
 builds them:
 
 - one normalization kernel: per slot of a buffer, its message, and per
   belief row, its variable.  Each message (or belief) total is one
-  bincount over that index, one test finds the first that is not finite
-  and positive, and one gather of the totals divides.  A sweep normalizes
-  both halves in one call, and so does the damping step.
+  bincount over that index, one min and one max test that all are finite
+  and positive (an ordered search then names the first that is not), and
+  one gather of the totals divides.  A sweep normalizes both halves in one
+  call, and so does the damping step.
 - factor groups: the factors of one table shape, their tables stacked on a
-  batch axis and, per position, a matrix of their message slots.  One
-  kernel sends a group's messages: per position, one einsum in numpy's
-  sublist form (numbered axes, no letters) over the stacked tables and the
-  gathered incoming messages.  The batch shares its axis number with the
-  first cardinality-1 axis when there is one, so a factor may use all 52
-  axis numbers numpy allows; a wider factor is a ValidationError.
+  batch axis by one concatenate and, per position, a matrix of their
+  message slots.  One kernel sends a group's messages: per position, one
+  einsum in numpy's sublist form (numbered axes, no letters) over the
+  stacked tables and the gathered incoming messages.  The batch shares its
+  axis number with the first cardinality-1 axis when there is one, so a
+  factor may use all 52 axis numbers numpy allows; a wider factor is a
+  ValidationError.
 - variable groups: flat index arrays of incoming slots, each slot tagged
   with its (variable, state) row and its outgoing message.  One kernel
   sends a group's messages: one log of the slots, one bincount per row of
-  the finite logs and one of the zeros, and each message is
-  exp(row total - own log), O(degree) per variable.  The zero counts
-  decide which states are exactly 0, and each message's maximum (one
-  maximum.reduceat over the message cuts, gathered back through the
-  slots' message index) is subtracted before the exp, so hard zeros stay
-  exact and nothing underflows.  The index arrays come from one stable
-  argsort of the edges by variable.  The flooding sweep runs one group
-  that holds every variable, and the beliefs read its row totals.
+  the logs, and each message is exp(row total - own log), O(degree) per
+  variable.  Only when some slot is 0 is its log set to 0 and are the
+  zeros counted per row (one bincount of their rows); the counts decide
+  which states are exactly 0, so hard zeros stay exact.  Each message's
+  maximum (one maximum.reduceat over the message cuts, gathered back
+  through the slots' message index) is subtracted before the exp, so
+  nothing underflows.  The index arrays come from one stable argsort of
+  the edges by variable.  The flooding sweep runs one group that holds
+  every variable, and the beliefs read its row totals.
 - levels: the two-pass schedule for forests.  The variables of one depth
   form one group, and the factors of one depth and table shape another, so
   the upward pass is one step per level, deepest first, and the downward
@@ -117,33 +125,47 @@ class FactorGraph:
     def __init__(self, variables, factors):
         self.variables = tuple(variables)
         self.factors = tuple(factors)
-        self._card = {}
+        ids = [v.id for v in self.variables]
+        cards = [v.cardinality for v in self.variables]
+        index = dict(zip(ids, range(len(ids))))
+        # per edge its variable (-1 if unknown) and axis size, per factor its
+        # arity; the ordered checks run only to name the first fault
+        rows = [(f.id, f.vars, f.table.shape) for f in self.factors]
+        fids, fvars, shapes = zip(*rows) if rows else ((), (), ())
+        arity = np.fromiter(map(len, fvars), np.intp, len(fvars))
+        n_edges = int(arity.sum())
+        names = itertools.chain.from_iterable(fvars)
+        edge_var = np.fromiter(map(index.get, names, itertools.repeat(-1)), np.intp, n_edges)
+        sizes = np.fromiter(itertools.chain.from_iterable(shapes), np.intp, n_edges)
+        faults = len(index) < len(ids) or len(set(fids)) < len(fids) or edge_var.min(initial=0) < 0
+        if faults or (np.array(cards, np.intp)[edge_var] != sizes).any():
+            self._first_fault()
+        self._layout = _Layout(self.factors, ids, index, cards, edge_var, arity, sizes)
+
+    def _first_fault(self) -> None:
+        """Raise for the first fault, in variable, then factor, then edge order."""
+        card = {}
         for v in self.variables:
-            if v.id in self._card:
+            if v.id in card:
                 raise ValidationError(f"duplicate variable id {v.id!r}")
-            self._card[v.id] = v.cardinality
+            card[v.id] = v.cardinality
         factor_ids = set()
         for f in self.factors:
             if f.id in factor_ids:
                 raise ValidationError(f"duplicate factor id {f.id!r}")
             factor_ids.add(f.id)
             for pos, v in enumerate(f.vars):
-                if v not in self._card:
-                    raise ValidationError(
-                        f"factor {f.id!r} mentions unknown variable {v!r}"
-                    )
-                if f.table.shape[pos] != self._card[v]:
+                if v not in card:
+                    raise ValidationError(f"factor {f.id!r} mentions unknown variable {v!r}")
+                if f.table.shape[pos] != card[v]:
                     raise ValidationError(
                         f"factor {f.id!r}: axis {pos} has size {f.table.shape[pos]} "
-                        f"but variable {v!r} has cardinality {self._card[v]}"
+                        f"but variable {v!r} has cardinality {card[v]}"
                     )
 
-    @cached_property
-    def _layout(self) -> "_Layout":
-        return _Layout(self)
-
     def cardinality(self, var_id: str) -> int:
-        return self._card[var_id]
+        lay = self._layout
+        return lay.cards[lay.index[var_id]]
 
     def neighbors(self, var_id: str) -> list[str]:
         lay = self._layout
@@ -151,7 +173,7 @@ class FactorGraph:
 
     def edges(self) -> list[tuple[str, str]]:
         """(factor id, variable id) pairs in deterministic order."""
-        return [(f.id, v) for f in self.factors for v in f.vars]
+        return list(self._layout.edges)
 
     def is_forest(self) -> bool:
         return self._layout.forest
@@ -171,36 +193,46 @@ _EINSUM_AXES = 52
 class _Layout:
     """The compiled edge layout of one factor graph (see the module docstring).
 
-    Edge e owns slots ``off[e]:off[e + 1]`` of each half of a message
-    buffer, variable i rows ``var_off[i]:var_off[i + 1]`` of a belief array.
-    Nodes are variables, then factors; ``around[n]`` lists node n's edges in
-    order.
+    Edge e joins variable ``edge_var[e]`` of cardinality ``edge_cards[e]``;
+    factor j owns the ``arity[j]`` edges ``blocks[j]:blocks[j + 1]``.  Edge
+    e owns slots ``off[e]:off[e + 1]`` of each half of a message buffer,
+    variable i rows ``var_off[i]:var_off[i + 1]`` of a belief array.  Nodes
+    are variables, then factors; ``around[n]`` lists node n's edges in
+    order.  The layout holds no reference to its graph, so a graph is freed
+    without the cyclic collector.
     """
 
-    def __init__(self, fg: FactorGraph):
-        self.factors = fg.factors
-        self.ids = [v.id for v in fg.variables]
-        self.index = {vid: i for i, vid in enumerate(self.ids)}
-        self.cards = [v.cardinality for v in fg.variables]
-        self.n_vars = len(self.cards)
-        self.edges = fg.edges()
-        self.edge_var = [self.index[vid] for _, vid in self.edges]
-        self.factor_node = [self.n_vars + j for j, f in enumerate(fg.factors) for _ in f.vars]
-        self.edge_cards = [self.cards[i] for i in self.edge_var]
-        off = [0, *itertools.accumulate(self.edge_cards)]
-        var_off = [0, *itertools.accumulate(self.cards)]
-        self.off, self.var_off = np.array(off), np.array(var_off)
-        self.var_slices = [slice(a, b) for a, b in zip(var_off, var_off[1:])]
-        self.around: list = [[] for _ in self.cards]
-        for e, i in enumerate(self.edge_var):
-            self.around[i].append(e)
-        blocks = [0, *itertools.accumulate(len(f.vars) for f in fg.factors)]
-        self.around += map(range, blocks, blocks[1:])
+    def __init__(self, factors, ids, index, cards, edge_var: Array, arity: Array, edge_cards):
+        self.factors, self.ids, self.index, self.cards = factors, ids, index, cards
+        self.n_vars = len(cards)
+        self.edge_var, self.edge_cards, self.arity = edge_var, edge_cards, arity
+        self.off, self.var_off, self.blocks = _cuts(edge_cards), _cuts(cards), _cuts(arity)
+
+    @cached_property
+    def edges(self) -> list[tuple[str, str]]:
+        return [(f.id, v) for f in self.factors for v in f.vars]
+
+    @cached_property
+    def factor_node(self) -> list[int]:
+        """Per edge, its factor's node."""
+        return np.arange(self.n_vars, self.n_vars + len(self.arity)).repeat(self.arity).tolist()
+
+    @cached_property
+    def var_slices(self) -> list[slice]:
+        return list(map(slice, self.var_off[:-1].tolist(), self.var_off[1:].tolist()))
+
+    @cached_property
+    def around(self) -> list:
+        around: list = [[] for _ in self.cards]
+        for e, i in enumerate(self.edge_var.tolist()):
+            around[i].append(e)
+        blocks = self.blocks.tolist()
+        return around + list(map(range, blocks, blocks[1:]))
 
     @cached_property
     def message_of_slot(self) -> Array:
         """Per slot of a message buffer, its message (see the module docstring)."""
-        lens = self.off[1:] - self.off[:-1]
+        lens = self.edge_cards
         return np.arange(2 * len(lens)).repeat(np.concatenate((lens, lens)))
 
     @cached_property
@@ -222,7 +254,7 @@ class _Layout:
         """Depth-first preorder of each component from its smallest variable id,
         as (node, parent edge or -1) pairs."""
         seen = [False] * len(self.around)
-        order = []
+        edge_var, order = self.edge_var.tolist(), []
         for root in sorted(range(self.n_vars), key=self.ids.__getitem__):
             if seen[root]:
                 continue
@@ -232,7 +264,7 @@ class _Layout:
                 node, up = stack.pop()
                 order.append((node, up))
                 for e in self.around[node]:
-                    nxt = self.factor_node[e] if node < self.n_vars else self.edge_var[e]
+                    nxt = self.factor_node[e] if node < self.n_vars else edge_var[e]
                     if not seen[nxt]:
                         seen[nxt] = True
                         stack.append((nxt, e))
@@ -271,7 +303,7 @@ class _Layout:
         turn.  Variables of degree 0 or 1 send nothing, as their messages
         are uniform already.
         """
-        depth = [0] * len(self.around)
+        depth, edge_var = [0] * len(self.around), self.edge_var.tolist()
         senders: dict[int, list[int]] = {}
         levels: dict[tuple, list[int]] = {}
         for node, up in self.order:
@@ -281,7 +313,7 @@ class _Layout:
                 if len(self.around[node]) > 1:
                     senders.setdefault(depth[node], []).append(node)
             else:
-                depth[node] = depth[self.edge_var[up]] + 1
+                depth[node] = depth[edge_var[up]] + 1
                 j = node - self.n_vars
                 levels.setdefault((depth[node], self.factors[j].table.shape), []).append(j)
         steps = [(d, self._factor_group(js)) for (d, _), js in levels.items()]
@@ -293,9 +325,8 @@ class _Layout:
     def by_var(self) -> tuple[Array, Array]:
         """The edges sorted stably by variable, so each variable's edges form
         one run in order, and where each variable's run starts."""
-        edge_var = np.fromiter(self.edge_var, np.intp, len(self.edge_var))
-        degree = np.bincount(edge_var, minlength=self.n_vars)
-        return np.argsort(edge_var, kind="stable"), _cuts(degree)
+        degree = np.bincount(self.edge_var, minlength=self.n_vars)
+        return np.argsort(self.edge_var, kind="stable"), _cuts(degree)
 
     def _var_groups(self, members: list[list[int]]) -> list["_VarGroup"]:
         """One group per list of variables, each variable's edges in one run.
@@ -336,9 +367,8 @@ class _Layout:
                 f"factor {self.factors[js[0]].id!r} has {k} variables; belief "
                 f"propagation numbers at most {_EINSUM_AXES} einsum axes"
             )
-        tables = np.array([self.factors[j].table for j in js])
-        first = [self.around[self.n_vars + j].start for j in js]
-        starts = self.off[np.add.outer(first, range(k))]
+        tables = np.concatenate([self.factors[j].table for j in js])
+        starts = self.off[np.add.outer(self.blocks[js], range(k))]
         return _FactorGroup(
             tables.reshape(len(js), *shape[:batch], *shape[batch + 1 :]),
             [batch, *(q for q in range(k) if q != batch)],
@@ -424,8 +454,10 @@ def _normalize(arr: Array, segment: Array, name: Callable[[int], str], first: in
     wrapping round, as ``name(k)``.
     """
     totals = np.bincount(segment, arr)
-    ok = np.isfinite(totals) & (totals > 0.0)
-    if not ok.all():
+    # a NaN fails both tests, and an empty arr passes (its bincount is of
+    # integers); the ordered search below names the first failure
+    if not (totals.min(initial=1.0) > 0.0 and totals.max(initial=0.0) < math.inf):
+        ok = np.isfinite(totals) & (totals > 0.0)
         k = (first + int(np.argmin(np.roll(ok, -first)))) % len(ok)
         fate = "overflowed" if totals[k] == np.inf else "vanished (contradictory constraints)"
         raise ValidationError(f"{name(k)} {fate}")
@@ -480,14 +512,17 @@ class _VarGroup:
     cuts: Array
     message: Array
 
-    def totals(self, to_var: Array) -> tuple[Array, Array, Array, Array]:
+    def totals(self, to_var: Array) -> tuple[Array, Array, Array, Array | None]:
         """Per slot, the finite log-message (0 at a zero) and whether it is 0;
-        per row, their sums."""
+        per row, their sums.  The zero counts are None when no slot is 0."""
         msgs = to_var[self.slots]
         zero = msgs == 0.0
-        logs = np.log(msgs, out=np.zeros(msgs.shape), where=~zero)
-        total = np.bincount(self.rows, logs, self.n_rows)
-        return logs, zero, total, np.bincount(self.rows, zero, self.n_rows)
+        logs = np.log(msgs, out=msgs)
+        zeros, hit = None, self.rows[zero]
+        if len(hit):
+            logs[zero] = 0.0
+            zeros = np.bincount(hit, minlength=self.n_rows)
+        return logs, zero, np.bincount(self.rows, logs, self.n_rows), zeros
 
     def propagate(self, src: MessageState, dst: MessageState) -> None:
         """Messages from the group's variables to all their factors, with largest entry 1.
@@ -499,7 +534,8 @@ class _VarGroup:
         """
         logs, zero, total, zeros = self.totals(src.to_var)
         others = total[self.rows] - logs
-        others[zeros[self.rows] > zero] = -np.inf
+        if zeros is not None:
+            others[zeros[self.rows] > zero] = -np.inf
         others -= np.maximum.reduceat(others, self.cuts)[self.message]
         dst.to_factor[self.slots] = np.exp(others, out=others)
 
@@ -547,7 +583,7 @@ def bp_sweep(fg: FactorGraph, state: MessageState, *, damping: float = 0.0) -> M
 
 def message_delta(a: MessageState, b: MessageState) -> float:
     gaps = a.buffer - b.buffer
-    return float(np.max(np.abs(gaps, out=gaps), initial=0.0))
+    return float(np.abs(gaps, out=gaps).max(initial=0.0))
 
 
 def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
@@ -555,11 +591,11 @@ def bp_beliefs(fg: FactorGraph, state: MessageState) -> dict:
     lay = fg._layout
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, _, total, zeros = lay.flood.totals(state.to_var)
-        total = np.where(zeros > 0.0, -np.inf, total)
+        if zeros is not None:
+            total[zeros > 0] = -np.inf
         total -= np.maximum.reduceat(total, lay.var_off[:-1])[lay.var_of_row]
-        out = _normalize(
-            np.exp(total, out=total), lay.var_of_row, lambda i: f"belief of {lay.ids[i]}"
-        )
+        # not in place: with no edges the bincounts are of integers
+        out = _normalize(np.exp(total), lay.var_of_row, lambda i: f"belief of {lay.ids[i]}")
     return {v.id: out[s] for v, s in zip(fg.variables, lay.var_slices)}
 
 

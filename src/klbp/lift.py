@@ -100,7 +100,7 @@ def replicate_lift(fg: FactorGraph) -> ReplicatedSpace:
     lay = fg._layout
     if not lay.edges:
         raise ValidationError("cannot lift a factor graph with no factors")
-    sizes = tuple(lay.edge_cards)
+    sizes = tuple(lay.edge_cards.tolist())
     if len(sizes) > _EINSUM_AXES:
         raise ValidationError(
             f"replica lift has {len(sizes)} axes; the lift's projections "

@@ -29,7 +29,8 @@ times the product of the siblings, from prefix and suffix products).  Node
 and edge arrays are (rows, batch): a single query is a batch of one, and
 ``marginal_batch`` runs many evidence columns through the same two passes
 with the same arithmetic, so each column equals its single query bitwise.
-The linear passes fail closed when the root value overflows.
+The linear passes fail closed when the root value overflows or underflows,
+and name the log root.
 ``Evidence`` keeps one flat vector.
 When its layout (variable names and sizes, in order) is the schedule's own,
 as with variables in ``variable_order``, that vector is the evidence column
@@ -501,10 +502,10 @@ class _Schedule:
         leaves = self.groups[0]
         # the compiled indexes are in range; "clip" spares the buffered copy
         # that the default mode makes for ``out``
-        np.take(X, leaves.slots, axis=0, out=S[: leaves.b], mode="clip")
+        X.take(leaves.slots, axis=0, out=S[: leaves.b], mode="clip")
         with np.errstate(over="ignore", invalid="ignore"):
             for g in self.groups[1:]:
-                V = np.take(S, g.children, axis=0)
+                V = S.take(g.children, axis=0)
                 if g.kind == "product":
                     np.multiply.reduce(V, axis=0, out=S[g.a : g.b])
                 else:
@@ -518,9 +519,9 @@ class _Schedule:
         L[self.unit] = 0.0
         leaves = self.groups[0]
         with np.errstate(divide="ignore"):
-            np.log(np.take(X, leaves.slots, axis=0), out=L[: leaves.b])
+            np.log(X.take(leaves.slots, axis=0), out=L[: leaves.b])
             for g in self.groups[1:]:
-                T = np.take(L, g.children, axis=0)
+                T = L.take(g.children, axis=0)
                 if g.kind == "product":
                     np.add.reduce(T, axis=0, out=L[g.a : g.b])
                     continue
@@ -547,7 +548,7 @@ class _Schedule:
         E[self.width] = 0.0
         for g in reversed(self.groups):
             Dg = D[g.a : g.b]
-            np.add.reduce(np.take(E, g.incoming, axis=0), axis=0, out=Dg)
+            np.add.reduce(E.take(g.incoming, axis=0), axis=0, out=Dg)
             if g is self.root_group:
                 D[self.root] += 1.0
             if g.kind == "leaf":
@@ -557,13 +558,13 @@ class _Schedule:
             if g.kind == "sum":
                 np.multiply(g.weights, Dg, out=block)
             else:
-                V = np.take(S, g.children, axis=0)
+                V = S.take(g.children, axis=0)
                 np.multiply(_sibling_products(V, block), Dg, out=block)
         return D, E
 
     def lam_adjoints(self, D: Array) -> Array:
         """dS/dlambda per evidence slot: the adjoints of its leaves, summed."""
-        return np.take(D, self.slot_leaves, axis=0).sum(axis=0)
+        return D.take(self.slot_leaves, axis=0).sum(axis=0)
 
 
 def _evidence_column(circuit: SpnCircuit, e: Evidence) -> Array:
@@ -645,12 +646,15 @@ def _schedule_for(circuit: SpnCircuit, *maps) -> _Schedule:
     return sched
 
 
-def _overflow(sched: _Schedule, x: Array, where: str = "") -> ValidationError:
-    """The error for a linear pass whose root value overflowed at evidence
-    column ``x``.  It gives the log root, which the log pass still has."""
+def _root_error(sched: _Schedule, x: Array, fate: str, where: str = "") -> ValidationError:
+    """The error for a linear pass whose root value ``fate`` ("overflows" or
+    "underflows") at evidence column ``x``.  It gives the log root, which the
+    log pass still has; a zero root whose log root is -inf is empty support."""
     log_root = float(sched.up_log(x)[sched.root, 0])
+    if log_root == -math.inf and fate == "underflows":
+        return ValidationError("evidence has empty support: root value is zero")
     return ValidationError(
-        f"{where}root value overflows the linear pass (log root value {log_root!r})"
+        f"{where}root value {fate} the linear pass (log root value {log_root!r})"
     )
 
 
@@ -664,7 +668,8 @@ def upward_pass(
     """Bottom-up evaluation of the network polynomial at the evidence.
 
     A zero root value means the evidence has empty support under the
-    circuit and is rejected unless ``allow_zero_root`` is set (coefficient
+    circuit, or that the linear pass underflowed if the log root is finite;
+    either is rejected unless ``allow_zero_root`` is set (coefficient
     extraction legitimately probes unsupported assignments).
     """
     if check:
@@ -673,9 +678,9 @@ def upward_pass(
     X = _evidence_column(circuit, e)
     S = sched.up(X)
     if not math.isfinite(S[sched.root, 0]):
-        raise _overflow(sched, X)
+        raise _root_error(sched, X, "overflows")
     if S[sched.root, 0] <= 0.0 and not allow_zero_root:
-        raise ValidationError("evidence has empty support: root value is zero")
+        raise _root_error(sched, X, "underflows")
     S.flags.writeable = False
     return ValueMap(sched, S)
 
@@ -725,12 +730,12 @@ def marginal_batch(circuit: SpnCircuit, lam) -> Array:
     for lo in range(0, X.shape[1], step):
         Xc = X[:, lo : lo + step]
         S = sched.up(Xc)
-        bad = ~np.isfinite(S[sched.root])
-        if bad.any():
-            col = int(np.argmax(bad))
-            raise _overflow(sched, Xc[:, col : col + 1], f"evidence column {lo + col}: ")
-        if np.any(S[sched.root] <= 0.0):
-            raise ValidationError("evidence has empty support: root value is zero")
+        root = S[sched.root]
+        for fate, bad in (("overflows", ~np.isfinite(root)), ("underflows", root <= 0.0)):
+            if bad.any():
+                col = int(np.argmax(bad))
+                where = f"evidence column {lo + col}: "
+                raise _root_error(sched, Xc[:, col : col + 1], fate, where)
         D, _ = sched.down(S)
         out[:, lo : lo + step] = Xc * sched.lam_adjoints(D) / S[sched.root]
     return out
@@ -852,7 +857,7 @@ def kkt_multipliers(circuit: SpnCircuit, S: ValueMap, D: AdjointMap) -> dict:
     for g in sched.groups:
         if g.kind == "product":
             block = siblings[g.edges : g.edges + g.children.size].reshape(g.children.shape)
-            _sibling_products(np.take(Sa, g.children), block)
+            _sibling_products(Sa.take(g.children), block)
     siblings = siblings[sched.product_edge_rows]
     direct = D.E[sched.product_edge_rows, 0] / root
     alt = Da[sched.product_edge_parents] * siblings / root

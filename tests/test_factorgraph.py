@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from klbp.errors import SchemaError, ValidationError
 from klbp.factorgraph import (
     MessageState,
+    _FactorGroup,
     _Layout,
     Factor,
     FactorGraph,
@@ -97,6 +101,89 @@ def test_graph_validation():
         FactorGraph(v + [Variable("a", 2)], [])
 
 
+def reference_first_fault(variables, factors):
+    """The construction checks one variable, factor and edge at a time: the
+    error for the first fault, or None."""
+    card = {}
+    for v in variables:
+        if v.id in card:
+            return ValidationError(f"duplicate variable id {v.id!r}")
+        card[v.id] = v.cardinality
+    factor_ids = set()
+    for f in factors:
+        if f.id in factor_ids:
+            return ValidationError(f"duplicate factor id {f.id!r}")
+        factor_ids.add(f.id)
+        for pos, v in enumerate(f.vars):
+            if v not in card:
+                return ValidationError(f"factor {f.id!r} mentions unknown variable {v!r}")
+            if f.table.shape[pos] != card[v]:
+                return ValidationError(
+                    f"factor {f.id!r}: axis {pos} has size {f.table.shape[pos]} "
+                    f"but variable {v!r} has cardinality {card[v]}"
+                )
+    return None
+
+
+def _break_factor(rng, factors, j, fault):
+    """Factor j of ``factors`` with a duplicate id, an unknown variable or a
+    wrong axis size."""
+    f = factors[j]
+    pos = int(rng.integers(len(f.vars)))
+    if fault == "factor id":
+        other = (j + 1 + int(rng.integers(len(factors) - 1))) % len(factors)
+        return Factor(factors[other].id, f.vars, f.table)
+    if fault == "unknown variable":
+        return Factor(f.id, f.vars[:pos] + ("nowhere",) + f.vars[pos + 1 :], f.table)
+    shape = list(f.table.shape)
+    shape[pos] += 1 + int(rng.integers(2))
+    return Factor(f.id, f.vars, np.ones(shape))
+
+
+FAULT_MESSAGES = (
+    "duplicate variable id",
+    "duplicate factor id",
+    "unknown variable",
+    "has cardinality",
+)
+
+
+def test_construction_faults_keep_their_messages():
+    graphs = [builders.grid(seed, 8) for seed in range(3)]
+    for seed in range(20):
+        graphs += [(g.variables, g.factors) for g in (gen_fg(seed), gen_fg(seed, kind="cycle"))]
+    rng = np.random.default_rng(26)
+    kinds = ("factor id", "unknown variable", "axis size")
+    seen = set()
+    for variables, factors in graphs:
+        assert reference_first_fault(variables, factors) is None
+        FactorGraph(variables, factors)
+        cases = []
+        for _ in range(3):
+            vs = list(variables)
+            v = vs[int(rng.integers(len(vs)))]
+            twin = Variable(v.id, v.cardinality + int(rng.integers(2)))
+            vs.insert(int(rng.integers(len(vs) + 1)), twin)
+            cases.append((vs, factors))
+            for fault in kinds:
+                fs = list(factors)
+                j = int(rng.integers(len(fs)))
+                fs[j] = _break_factor(rng, fs, j, fault)
+                cases.append((variables, fs))
+            # two faults in different factors, the kinds drawn in either order
+            fs = list(factors)
+            for j in rng.choice(len(fs), 2, replace=False):
+                fs[j] = _break_factor(rng, fs, j, kinds[int(rng.integers(3))])
+            cases.append((variables, fs))
+        for vs, fs in cases:
+            want = reference_first_fault(vs, fs)
+            with pytest.raises(type(want)) as got:
+                FactorGraph(vs, fs)
+            assert str(got.value) == str(want)
+            seen.update(k for k in FAULT_MESSAGES if k in str(want))
+    assert seen == set(FAULT_MESSAGES)
+
+
 def test_validation_report():
     fg = FactorGraph(
         [Variable("a", 2)], [Factor("f", ("a",), np.array([1.0, 0.0]))]
@@ -168,6 +255,15 @@ def test_isolated_variable_is_uniform():
     )
     beliefs = bp_beliefs(fg, bp_run_tree(fg))
     np.testing.assert_allclose(beliefs["lonely"], np.full(4, 0.25), atol=1e-15)
+    # graphs with no edges, and with no variables at all
+    for variables in ([Variable("lonely", 4)], []):
+        fg = FactorGraph(variables, [])
+        result = bp_run(fg)
+        assert (result.sweeps, result.delta, result.converged) == (1, 0.0, True)
+        for state in (result.state, bp_run_tree(fg)):
+            assert state.buffer.size == 0
+            beliefs = bp_beliefs(fg, state)
+            assert [b.tolist() for b in beliefs.values()] == [[0.25] * 4] * len(variables)
 
 
 def star_marginals_in_logs(fg):
@@ -596,12 +692,162 @@ def test_tree_bp_on_the_mixed_forest_matches_the_oracle():
                 np.testing.assert_allclose(beliefs[vid], exact[vid], atol=1e-12)
 
 
+class PerEdgeLayout(_Layout):
+    """The edge layout built from per-edge Python lists, one edge at a time."""
+
+    def __init__(self, fg):
+        self.factors = fg.factors
+        self.ids = [v.id for v in fg.variables]
+        self.index = {vid: i for i, vid in enumerate(self.ids)}
+        self.cards = [v.cardinality for v in fg.variables]
+        self.n_vars = len(self.cards)
+        self.edges = fg.edges()
+        self.edge_var = [self.index[vid] for _, vid in self.edges]
+        self.factor_node = [self.n_vars + j for j, f in enumerate(fg.factors) for _ in f.vars]
+        self.edge_cards = [self.cards[i] for i in self.edge_var]
+        off = [0, *itertools.accumulate(self.edge_cards)]
+        var_off = [0, *itertools.accumulate(self.cards)]
+        self.off, self.var_off = np.array(off), np.array(var_off)
+        self.var_slices = [slice(a, b) for a, b in zip(var_off, var_off[1:])]
+        self.around = [[] for _ in self.cards]
+        for e, i in enumerate(self.edge_var):
+            self.around[i].append(e)
+        blocks = [0, *itertools.accumulate(len(f.vars) for f in fg.factors)]
+        self.around += map(range, blocks, blocks[1:])
+
+    @property
+    def message_of_slot(self):
+        lens = self.off[1:] - self.off[:-1]
+        return np.arange(2 * len(lens)).repeat(np.concatenate((lens, lens)))
+
+    @property
+    def by_var(self):
+        edge_var = np.array(self.edge_var, np.intp)
+        degree = np.bincount(edge_var, minlength=self.n_vars)
+        return np.argsort(edge_var, kind="stable"), np.cumsum([0, *degree])
+
+    @property
+    def order(self):
+        seen = [False] * len(self.around)
+        order = []
+        for root in sorted(range(self.n_vars), key=self.ids.__getitem__):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [(root, -1)]
+            while stack:
+                node, up = stack.pop()
+                order.append((node, up))
+                for e in self.around[node]:
+                    nxt = self.factor_node[e] if node < self.n_vars else self.edge_var[e]
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        stack.append((nxt, e))
+        return order
+
+    @property
+    def tree_steps(self):
+        depth = [0] * len(self.around)
+        senders, levels = {}, {}
+        for node, up in self.order:
+            if node < self.n_vars:
+                if up >= 0:
+                    depth[node] = depth[self.factor_node[up]] + 1
+                if len(self.around[node]) > 1:
+                    senders.setdefault(depth[node], []).append(node)
+            else:
+                depth[node] = depth[self.edge_var[up]] + 1
+                j = node - self.n_vars
+                levels.setdefault((depth[node], self.factors[j].table.shape), []).append(j)
+        steps = [(d, self._factor_group(js)) for (d, _), js in levels.items()]
+        steps += zip(senders, self._var_groups(list(senders.values())))
+        steps.sort(key=lambda step: step[0])
+        return [group for _, group in reversed(steps)] + [group for d, group in steps if d]
+
+    def _factor_group(self, js):
+        shape = self.factors[js[0]].table.shape
+        k = len(shape)
+        batch = shape.index(1) if 1 in shape else k
+        tables = np.array([self.factors[j].table for j in js])
+        first = [self.around[self.n_vars + j].start for j in js]
+        starts = self.off[np.add.outer(first, range(k))]
+        return _FactorGroup(
+            tables.reshape(len(js), *shape[:batch], *shape[batch + 1 :]),
+            [batch, *(q for q in range(k) if q != batch)],
+            [
+                starts[:, p] if p == batch else starts[:, p, None] + np.arange(shape[p])
+                for p in range(k)
+            ],
+            [[batch] if q == batch else [batch, q] for q in range(k)],
+        )
+
+
+def _assert_same_group(got, want):
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, list) and b and isinstance(b[0], np.ndarray):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y, strict=True)
+        elif isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, strict=True)
+        else:
+            assert a == b, field.name
+
+
+def _layout_graphs():
+    variables, pairwise = builders.grid(3, 8)
+    tables = builders.unary_tables(np.random.default_rng(3), variables)
+    unary = [Factor(f"u:{v.id}", (v.id,), t) for v, t in zip(variables, tables)]
+    yield FactorGraph(variables, pairwise + unary)
+    yield FactorGraph(*builders.grid(4, 8, hub=False))
+    for forest in (False, True):
+        yield mixed_graph(np.random.default_rng(0), forest=forest)
+    for seed in range(20):
+        yield gen_fg(seed, kind="tree")
+        yield gen_fg(seed, kind="cycle")
+    yield FactorGraph(*builders.star(0, 1600))
+
+
+def test_the_array_built_layout_matches_a_per_edge_build():
+    for fg in _layout_graphs():
+        lay, ref = fg._layout, PerEdgeLayout(fg)
+        for name in ("off", "var_off", "edge_cards", "edge_var", "message_of_slot", "message_cuts"):
+            np.testing.assert_array_equal(getattr(lay, name), getattr(ref, name), err_msg=name)
+        for name in ("edges", "around", "factor_node", "var_slices"):
+            assert getattr(lay, name) == getattr(ref, name), name
+        for got, want in itertools.zip_longest(lay.factor_groups, ref.factor_groups):
+            _assert_same_group(got, want)
+        _assert_same_group(lay.flood, ref.flood)
+        if fg.is_forest():
+            for got, want in itertools.zip_longest(lay.tree_steps, ref.tree_steps):
+                _assert_same_group(got, want)
+
+
 def test_loopy_bp_does_not_walk_the_graph():
     fg = cycle_graph(np.random.default_rng(500))
     bp_beliefs(fg, bp_run(fg).state)
-    assert "order" not in vars(fg._layout)
+    # nor does it build the per-edge lists
+    assert not {"order", "edges", "around", "factor_node"} & vars(fg._layout).keys()
     assert not fg.is_forest()
     assert validate_fg(fg)["n_components"] == 1
+
+
+def test_a_graph_and_its_layout_form_no_reference_cycle():
+    grid = builders.grid(3, 8)
+    gc.disable()
+    try:
+        for make in (lambda: FactorGraph(*grid), lambda: gen_fg(0, kind="tree")):
+            fg = make()
+            bp_beliefs(fg, bp_run(fg).state)
+            if fg.is_forest():
+                bp_beliefs(fg, bp_run_tree(fg))
+            dead = weakref.ref(fg)
+            del fg
+            assert dead() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------- JSON

@@ -812,6 +812,31 @@ class TestCompiledPasses:
         )
         assert str(batch.value) == f"evidence column 1: {single.value}"
 
+    @pytest.mark.parametrize("kind", ["rat_spn", "flat_mixture"])
+    def test_linear_underflow_is_named_with_the_log_root(self, kind):
+        from perfbench import builders
+
+        if kind == "rat_spn":  # every lambda of soft evidence times 1e-3
+            nodes, root = builders.rat_spn(1)
+            scale, n_vars, states = 1e-3, 128, 3
+        else:
+            nodes, root = builders.flat_mixture(0, 2000)
+            scale, n_vars, states = 1.0, 2000, 2
+        c = SpnCircuit(nodes, root)
+        lam = builders.soft_evidence(np.random.default_rng(0), n_vars, states)
+        small = Evidence({v: scale * x for v, x in lam.items()})
+        log_root = upward_pass_log(c, small)[c.root]
+        assert -1000.0 < log_root < -745.2  # exp(log_root) underflows to 0
+        with pytest.raises(ValidationError) as single:
+            upward_pass(c, small)
+        X = np.column_stack([_evidence_column(c, all_ones_evidence(c)), small._flat])
+        with pytest.raises(ValidationError) as batch:
+            marginal_batch(c, X)
+        assert str(single.value) == (
+            f"root value underflows the linear pass (log root value {log_root!r})"
+        )
+        assert str(batch.value) == f"evidence column 1: {single.value}"
+
     def test_batch_rejects_bad_columns(self):
         c = two_component_circuit()
         with pytest.raises(ValidationError, match="4 rows"):
