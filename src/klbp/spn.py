@@ -279,23 +279,36 @@ class Evidence:
 
     The values are copied once into one read-only flat vector: variables in
     the order given (``names``), each variable's states in order, so the
-    caller's arrays stay untouched.  ``lam`` is a read-only mapping from each
-    variable to its slice of that vector, built on first access.  When the
-    evidence's layout (names and sizes) is a schedule's own, the flat vector
-    itself is the evidence column the passes read, with no copy.
+    caller's arrays stay untouched.  The usual input, 1-d values none of
+    them empty, is laid out by one concatenate and checked as a whole
+    vector; the per-variable route only converts odd input (0-d, 2-d or
+    empty values, strings, complex) and names the first fault.  ``lam`` is
+    a read-only mapping from each variable to its slice of that vector,
+    built on first access.  When the evidence's layout (names and sizes) is
+    a schedule's own, the flat vector itself is the evidence column the
+    passes read, with no copy.
     """
 
     def __init__(self, lam: Mapping):
         names = tuple(lam)
-        arrays = [np.asarray(values, dtype=float) for values in lam.values()]
-        # the variables before the first malformed one are checked together;
-        # an error names the first failing variable and its first failing check
-        n = next((i for i, a in enumerate(arrays) if a.ndim != 1 or a.size == 0), len(arrays))
-        sizes = tuple(a.size for a in arrays[:n])
-        cuts = [0, *itertools.accumulate(sizes)]
-        flat = np.concatenate(arrays[:n]) if n else np.empty(0)
+        values = list(lam.values())
+        try:
+            flat = np.concatenate(values, dtype=float)
+            sizes = tuple(map(len, values))
+            n = len(values) if flat.ndim == 1 and 0 not in sizes and sum(sizes) == flat.size else -1
+        except (TypeError, ValueError, OverflowError):  # the per-variable route names the fault
+            n = -1
+        if n < 0:
+            arrays = [np.asarray(v, dtype=float) for v in values]
+            # the variables before the first malformed one are checked together;
+            # an error names the first failing variable and its first failing check
+            n = next((i for i, a in enumerate(arrays) if a.ndim != 1 or a.size == 0), len(arrays))
+            sizes = tuple(a.size for a in arrays[:n])
+            flat = np.concatenate(arrays[:n]) if n else np.empty(0)
         # every entry positive and finite passes every check; NaN fails min() > 0
-        if not (flat.size and flat.min() > 0.0 and flat.max() < np.inf):
+        soft = bool(flat.min(initial=np.inf) > 0.0)
+        if not (soft and flat.max(initial=0.0) < np.inf):
+            cuts = [0, *itertools.accumulate(sizes)]
             bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), cuts[:-1])
             empty = ~np.logical_or.reduceat(flat > 0.0, cuts[:-1])
             failed = np.flatnonzero(bad | empty)
@@ -308,18 +321,18 @@ class Evidence:
         flat.flags.writeable = False
         self.names = names
         self._flat = flat
-        self._cuts = cuts
+        self._soft = soft
         self._layout = (names, sizes)
 
     @cached_property
     def lam(self) -> Mapping:
-        cuts = self._cuts
+        cuts = [0, *itertools.accumulate(self._layout[1])]
         return MappingProxyType(
             {v: self._flat[a:b] for v, a, b in zip(self.names, cuts, cuts[1:])}
         )
 
     def is_soft(self) -> bool:
-        return bool(np.all(self._flat > 0.0))
+        return self._soft
 
 
 def all_ones_evidence(circuit: SpnCircuit) -> Evidence:

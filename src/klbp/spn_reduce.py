@@ -64,33 +64,35 @@ def enumerate_parses(circuit: SpnCircuit):
     triples in deterministic order; more than ``PARSE_CAP`` parses raise.
     """
     _require_tree(circuit, "parse enumeration")
+    return _parses(circuit, circuit.root)
 
-    def walk(nid):
-        n = circuit.node(nid)
-        if n.kind == "leaf":
-            return [(1.0, {n.var: n.state}, {})]
-        if n.kind == "sum":
-            out = []
-            for pos, (c, w) in enumerate(zip(n.children, n.weights)):
-                for cw, asg, choice in walk(c):
-                    merged = dict(choice)
-                    merged[nid] = pos
-                    out.append((w * cw, asg, merged))
-                if len(out) > PARSE_CAP:
-                    raise BudgetError(f"more than {PARSE_CAP} parses")
-            return out
-        out = [(1.0, {}, {})]
-        for c in n.children:
-            child = walk(c)
-            if len(out) * len(child) > PARSE_CAP:
+
+def _parses(circuit: SpnCircuit, nid) -> list:
+    """The parses of the subtree under ``nid``; module level, so a call
+    leaves no closure cycle to the cyclic collector."""
+    n = circuit.node(nid)
+    if n.kind == "leaf":
+        return [(1.0, {n.var: n.state}, {})]
+    if n.kind == "sum":
+        out = []
+        for pos, (c, w) in enumerate(zip(n.children, n.weights)):
+            for cw, asg, choice in _parses(circuit, c):
+                merged = dict(choice)
+                merged[nid] = pos
+                out.append((w * cw, asg, merged))
+            if len(out) > PARSE_CAP:
                 raise BudgetError(f"more than {PARSE_CAP} parses")
-            nxt = []
-            for (w1, a1, c1), (w2, a2, c2) in itertools.product(out, child):
-                nxt.append((w1 * w2, {**a1, **a2}, {**c1, **c2}))
-            out = nxt
         return out
-
-    return walk(circuit.root)
+    out = [(1.0, {}, {})]
+    for c in n.children:
+        child = _parses(circuit, c)
+        if len(out) * len(child) > PARSE_CAP:
+            raise BudgetError(f"more than {PARSE_CAP} parses")
+        nxt = []
+        for (w1, a1, c1), (w2, a2, c2) in itertools.product(out, child):
+            nxt.append((w1 * w2, {**a1, **a2}, {**c1, **c2}))
+        out = nxt
+    return out
 
 
 def spn_to_factor_graph(

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,103 @@ class TestValidationReport:
             upward_pass(SpnCircuit(nodes, "p"), Evidence({"X": [1.0, 1.0]}))
 
 
+def _per_variable_evidence(lam):
+    """The per-variable ``Evidence`` constructor of earlier versions, kept as
+    the reference: one conversion and one size per variable."""
+    names = tuple(lam)
+    arrays = [np.asarray(values, dtype=float) for values in lam.values()]
+    n = next((i for i, a in enumerate(arrays) if a.ndim != 1 or a.size == 0), len(arrays))
+    sizes = tuple(a.size for a in arrays[:n])
+    cuts = [0, *itertools.accumulate(sizes)]
+    flat = np.concatenate(arrays[:n]) if n else np.empty(0)
+    if not (flat.size and flat.min() > 0.0 and flat.max() < np.inf):
+        bad = ~np.logical_and.reduceat(np.isfinite(flat) & (flat >= 0.0), cuts[:-1])
+        empty = ~np.logical_or.reduceat(flat > 0.0, cuts[:-1])
+        failed = np.flatnonzero(bad | empty)
+        if failed.size:
+            i = failed[0]
+            problem = "must be finite and nonnegative" if bad[i] else "has empty support"
+            raise ValidationError(f"evidence for {names[i]!r} {problem}")
+    if n < len(names):
+        raise ValidationError(f"evidence for {names[n]!r} must be a 1-d vector")
+    lam = {v: flat[a:b] for v, a, b in zip(names, cuts, cuts[1:])}
+    return flat, names, (names, sizes), lam, bool(np.all(flat > 0.0))
+
+
+def _evidence_outcome(build, lam):
+    """What a constructor makes of ``lam``: its fields, or its exception,
+    with the warnings it raised either way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = build(lam)
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        else:
+            if isinstance(got, Evidence):
+                got = (got._flat, got.names, got._layout, dict(got.lam), got.is_soft())
+            flat, names, layout, views, soft = got
+            assert flat.dtype == np.float64
+            got = (flat.tobytes(), names, layout, {v: a.tobytes() for v, a in views.items()}, soft)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+_ENTRIES = [0.5, 2.0, 1e-300, 1e300, 0.0, -0.0, -1.0, np.nan, np.inf, -np.inf]
+
+
+def _evidence_value(rng):
+    """One dict value of a random kind, common or odd."""
+    k = int(rng.integers(1, 5))
+    if rng.random() < 0.2:  # mostly positive, sometimes one special entry
+        x = rng.random(k) + 0.1
+        if rng.random() < 0.5:
+            x[rng.integers(k)] = _ENTRIES[rng.integers(len(_ENTRIES))]
+    else:
+        x = np.array([_ENTRIES[i] for i in rng.integers(len(_ENTRIES), size=k)])
+    if rng.random() < 0.1:
+        x[:] = 0.0
+    kind = int(rng.integers(18))
+    if kind <= 3:
+        return x
+    if kind == 4:
+        return np.where(np.isfinite(x), x.clip(-1e30, 1e30), x).astype(np.float32)
+    if kind == 5:
+        return np.nan_to_num(x, posinf=7.0, neginf=-7.0).clip(-9, 9).astype(int)
+    if kind == 6:
+        return x > 0.4
+    if kind == 7:
+        return x.tolist()
+    if kind == 8:
+        return tuple(x.tolist())
+    if kind == 9:
+        return [np.float64(x[0]), float(x[0]), np.array(x[0]), int(k)][k - 1]  # 0-d
+    if kind == 10:
+        return x.reshape(1, -1) if k % 2 else x.reshape(-1, 1)
+    if kind == 11:
+        return [[], np.empty(0), (), np.empty(0, dtype=np.float32)][k - 1]
+    if kind == 12:
+        return [str(v) for v in x.tolist()] if k % 2 else np.array([str(v) for v in x.tolist()])
+    if kind == 13:
+        return x + 1j * (k % 2) if k > 1 else x.astype(complex).tolist()
+    if kind == 14:
+        return x.astype(object) if k % 2 else [*x.tolist()[:-1], None]
+    if kind == 15:
+        return [[10**400], [2**70, 1], [2**63 + 1, -1], np.array([2**70], dtype=object)][k - 1]
+    if kind == 16:
+        return "0.5" if k % 2 else b"1"
+    return [*x.tolist()[:-1], [1.0]] if k > 1 else np.empty((0, 2))  # ragged, 2-d empty
+
+
+def _evidence_corpus(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4))
+        if rng.random() < 0.15:  # all 2-d
+            yield {f"V{j}": rng.random((1 + j % 2, 2)) for j in range(n)}
+        else:
+            yield {f"V{j}": _evidence_value(rng) for j in range(n)}
+
+
 class TestEvidence:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -238,6 +336,30 @@ class TestEvidence:
         with pytest.raises(ValueError):
             e.lam["X"][0] = 1.0
         assert Evidence({}).lam == {}
+        for values in (
+            np.array([0.25, 0.75]),
+            np.array([0.25, 0.75], dtype=np.float32),
+            np.array([1, 3]),
+            [0.25, 0.75],
+        ):
+            expected = np.asarray(values, dtype=float).copy()
+            e = Evidence({"X": values})  # one variable: the flat vector is still a copy
+            assert e._flat.dtype == np.float64 and not e._flat.flags.writeable
+            if isinstance(values, np.ndarray):
+                assert not np.shares_memory(e._flat, values) and values.flags.writeable
+                values[:] = 0
+            else:
+                values[0] = 0.0
+            np.testing.assert_array_equal(e.lam["X"], expected)
+
+    def test_the_constructor_matches_the_per_variable_one_on_a_corpus(self):
+        cases = list(_evidence_corpus(27, 1200))
+        accepted = 0
+        for lam in cases:
+            got = _evidence_outcome(Evidence, lam)
+            assert got == _evidence_outcome(_per_variable_evidence, lam), lam
+            accepted += isinstance(got[0][0], bytes)
+        assert 100 < accepted < len(cases) - 100  # both outcomes are well covered
 
     def test_soft_flag(self):
         assert Evidence({"X": [0.2, 0.3]}).is_soft()
@@ -301,6 +423,10 @@ class TestEvidence:
         upward_pass_log(c, e)
         assert "lam" not in vars(e)  # no pass built the per-variable views
         assert np.shares_memory(_evidence_column(c, e), e._flat)
+        big, drawn = gen_spn(7)
+        for values in (list, tuple, np.array):  # any dict in the schedule's layout
+            ordered = Evidence({v: values(drawn.lam[v]) for v in big.variable_order()})
+            assert np.shares_memory(_evidence_column(big, ordered), ordered._flat)
         turned = Evidence({"Y": [1.0, 0.8], "X": [1.0, 0.5]})
         column = _evidence_column(c, turned)
         assert not np.shares_memory(column, turned._flat)

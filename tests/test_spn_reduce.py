@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ class TestParses:
             got = upward_pass(c, ones).root_value(c)
             # every parse hits each variable once, so lambda factors are 1
             assert total == pytest.approx(got, rel=1e-12)
+
+    def test_a_call_leaves_no_cyclic_garbage(self):
+        c, _ = gen_spn(2)
+        gc.collect()
+        gc.disable()
+        try:
+            parses = enumerate_parses(c)
+            del parses
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_shared_circuit_rejected(self):
         c, _ = gen_spn(1, shared=True)
